@@ -117,7 +117,10 @@ class Batch {
   size_t NumRows() const { return event_time_.size(); }
   bool empty() const { return event_time_.empty(); }
 
-  /// Drops all rows (layout and arena chunks are kept for reuse).
+  /// Drops all rows, promotions and interned strings; keeps the layout and
+  /// the column vectors' capacity (the string arena is released). Appends
+  /// to a cleared batch behave exactly like appends to a fresh
+  /// Batch(layout) — the simulator's sub-batch slab relies on this.
   void Clear();
   void Reserve(size_t rows);
 

@@ -150,7 +150,12 @@ std::string Tuple::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(values.size());
   for (const Value& v : values) parts.push_back(v.ToString());
-  return "(" + Join(parts, ", ") + StrFormat(") @%.6f", event_time);
+  // Built with append: GCC 12 at -O3 misreports the equivalent
+  // `"(" + ... + ...` chain as an overlapping memcpy (-Werror=restrict).
+  std::string out = "(";
+  out.append(Join(parts, ", "));
+  out.append(StrFormat(") @%.6f", event_time));
+  return out;
 }
 
 }  // namespace pdsp

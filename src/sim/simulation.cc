@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <queue>
+#include <type_traits>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
@@ -23,9 +25,24 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-enum class EventKind { kSourceBatch, kDelivery, kReady };
+enum class EventKind : uint8_t { kSourceBatch, kDelivery, kReady };
 
-struct Batch {
+/// Index of a sub-batch in the engine's slab; kNoSlot for events that carry
+/// no payload.
+using SlotId = uint32_t;
+constexpr SlotId kNoSlot = std::numeric_limits<SlotId>::max();
+
+/// Sub-batches that held at most this many rows are recycled with their
+/// column storage; larger ones are reset to a fresh batch on release, so no
+/// free slot keeps more than a small batch's capacity. Recycling every
+/// batch costs ~10% peak RSS on the p=1 linear and join plans and on
+/// WordCount at p=8, and a limit of 64 still costs WordCount 5% (DESIGN.md,
+/// "Event loop and sub-batch lifecycle").
+constexpr size_t kRetainMaxRows = 16;
+
+/// One routed sub-batch: lives in the engine's slab from routing until the
+/// receiving task has processed it.
+struct SubBatch {
   /// Payload rows in columnar form (schema-specialized per sending edge).
   data::Batch rows;
   int input_port = 0;
@@ -37,6 +54,8 @@ struct Batch {
   /// Event-time watermark of the sender when this batch left it. Applied at
   /// processing time (after all earlier batches on the same channel).
   double watermark = -kInf;
+  /// Layout class of `rows`: the free list this slot returns to.
+  int layout_class = 0;
 };
 
 struct Event {
@@ -44,8 +63,9 @@ struct Event {
   int64_t seq = 0;
   EventKind kind = EventKind::kReady;
   int task = 0;
-  std::shared_ptr<Batch> batch;
+  SlotId slot = kNoSlot;  // kDelivery only
 };
+static_assert(std::is_trivially_copyable_v<Event>);
 
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const {
@@ -71,13 +91,15 @@ class Engine {
  private:
   struct TaskState {
     std::unique_ptr<OperatorInstance> instance;  // null for sources
-    std::deque<std::shared_ptr<Batch>> queue;
+    std::deque<SlotId> queue;
     size_t queued_tuples = 0;
     double busy_until = 0.0;
-    // Event-time watermarks: per-upstream-task watermark, the min over them
-    // (this task's input watermark, which gates window firing), and when we
-    // last broadcast our own watermark downstream.
-    std::map<int, double> channel_wm;
+    // Event-time watermarks: per-upstream-task watermark (flat channel
+    // lists sorted by sender task id), the min over them (this task's input
+    // watermark, which gates window firing), and when we last broadcast our
+    // own watermark downstream.
+    std::vector<int> wm_from;
+    std::vector<double> wm_value;
     double input_wm = -kInf;
     double last_wm_broadcast = -kInf;
     // Per-outgoing-channel-group round-robin cursors (rebalance).
@@ -97,13 +119,21 @@ class Engine {
   struct PlannedDelivery {
     double delay = 0.0;  // relative to sender completion
     int dest_task = 0;
-    std::shared_ptr<Batch> batch;
+    SlotId slot = kNoSlot;
   };
 
   Status SetUpTasks();
-  void Push(double time, EventKind kind, int task,
-            std::shared_ptr<Batch> batch = nullptr);
+  void Push(double time, EventKind kind, int task, SlotId slot = kNoSlot);
   double TaskSpeed(int task) const;
+
+  /// Takes an empty sub-batch of `op`'s output layout from the slab,
+  /// reusing a released slot of the same layout when one is free.
+  SlotId AcquireSlot(LogicalPlan::OpId op);
+  /// Returns a processed sub-batch to its layout's free list (see
+  /// kRetainMaxRows).
+  void ReleaseSlot(SlotId slot);
+  /// Clears and returns `op`'s reusable firing-output batch.
+  data::Batch& OutputScratch(LogicalPlan::OpId op);
 
   /// Appends one time-series row per task at virtual time `t` (rates and
   /// utilization over the elapsed time since the previous sample — the last
@@ -120,8 +150,9 @@ class Engine {
   /// Starts work on `task` if it is idle and has something to do.
   void MaybeStart(int task, double now);
 
-  /// Splits outputs into per-destination sub-batches, adds the send-side
-  /// costs to *cost, and fills *deliveries with (delay, dest, batch).
+  /// Splits outputs into per-destination sub-batches taken from the slab,
+  /// adds the send-side costs to *cost, and appends (delay, dest, slot) to
+  /// deliveries_.
   /// Hash partitioning runs the columnar partition kernel (hash the key
   /// column once, scatter row indices, gather each destination's rows in
   /// one pass); rebalance and forward reduce to index arithmetic plus a
@@ -131,14 +162,13 @@ class Engine {
   /// data still get a watermark-only batch (Flink's periodic watermark
   /// emission).
   void RouteOutputs(int task, const data::Batch& outputs, double sender_wm,
-                    bool broadcast_wm, double* cost,
-                    std::vector<PlannedDelivery>* deliveries);
+                    bool broadcast_wm, double* cost);
 
   /// Applies a processed batch's watermark to its channel and recomputes the
   /// task's input watermark.
-  void ApplyWatermark(TaskState* state, const Batch& batch);
-  void DispatchDeliveries(int task, double completion,
-                          std::vector<PlannedDelivery>* deliveries);
+  void ApplyWatermark(TaskState* state, const SubBatch& batch);
+  /// Schedules the planned deliveries (deliveries_) and clears the list.
+  void DispatchDeliveries(double completion);
   void EmitSourceBatch(int task, double now);
 
   // --- latency attribution -----------------------------------------------
@@ -154,12 +184,12 @@ class Engine {
   /// Advances each outgoing element's cursor to `completion`, charging the
   /// gap to source-batching (sources) or service (operators).
   void ChargeDispatch(LogicalPlan::OpId op, double completion,
-                      bool is_source,
-                      std::vector<PlannedDelivery>* deliveries);
+                      bool is_source);
   /// Charges `now - cursor` to network transit for a just-delivered batch.
-  void ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch);
+  void ChargeNetwork(LogicalPlan::OpId op, double now, const SubBatch& batch);
   /// Charges `now - cursor` to queue wait for a just-dequeued batch.
-  void ChargeQueueWait(LogicalPlan::OpId op, double now, Batch* batch);
+  void ChargeQueueWait(LogicalPlan::OpId op, double now,
+                       const SubBatch& batch);
   /// Charges window/join-state residency for outputs whose cursor predates
   /// `now` (they emerged from operator state rather than this batch).
   void ChargeWindowResidency(LogicalPlan::OpId op, double now,
@@ -179,10 +209,21 @@ class Engine {
   int64_t seq_ = 0;
   std::vector<TaskState> tasks_;
   std::vector<std::vector<ChannelGroup>> out_channels_;  // per op
-  // Columnar layout each operator's output batches use, indexed by op id.
-  std::vector<data::BatchLayout> out_layouts_;
-  // Routing scratch (per-destination row selections), reused across firings.
+  // Sub-batch slab. A deque keeps references stable as it grows; events,
+  // deliveries and task queues refer to sub-batches by slot index. Released
+  // slots go to a free list per distinct output layout (op_class_ maps an
+  // operator to its output's layout class).
+  std::deque<SubBatch> slab_;
+  std::vector<int> op_class_;
+  std::vector<data::BatchLayout> class_layouts_;
+  std::vector<std::vector<SlotId>> free_slots_;
+  // Per-firing scratch, reused across firings: each operator's output batch
+  // (indexed by op id), the per-destination row selections and sub-batch
+  // slots of one channel group, and the firing's planned deliveries.
+  std::vector<data::Batch> op_outputs_;
   std::vector<data::SelectionVector> parts_;
+  std::vector<SlotId> route_slots_;
+  std::vector<PlannedDelivery> deliveries_;
   int64_t pending_tuples_ = 0;
   int64_t events_processed_ = 0;
   Status run_error_ = Status::OK();
@@ -236,7 +277,20 @@ Status Engine::SetUpTasks() {
   for (size_t op = 0; op < plan_.logical().NumOperators(); ++op) {
     out_channels_[op] = plan_.ChannelsFrom(static_cast<LogicalPlan::OpId>(op));
   }
-  PDSP_ASSIGN_OR_RETURN(out_layouts_, DeriveBatchLayouts(plan_.logical()));
+  // Columnar layout each operator's output batches use, indexed by op id.
+  PDSP_ASSIGN_OR_RETURN(std::vector<data::BatchLayout> out_layouts,
+                        DeriveBatchLayouts(plan_.logical()));
+  op_class_.resize(out_layouts.size());
+  op_outputs_.reserve(out_layouts.size());
+  for (size_t op = 0; op < out_layouts.size(); ++op) {
+    const data::BatchLayout& layout = out_layouts[op];
+    const auto same = std::find(class_layouts_.begin(), class_layouts_.end(),
+                                layout);
+    op_class_[op] = static_cast<int>(same - class_layouts_.begin());
+    if (same == class_layouts_.end()) class_layouts_.push_back(layout);
+    op_outputs_.emplace_back(layout);
+  }
+  free_slots_.resize(class_layouts_.size());
   Rng master(options_.seed);
   for (size_t t = 0; t < plan_.NumTasks(); ++t) {
     const PhysicalTask& pt = plan_.task(static_cast<int>(t));
@@ -285,26 +339,63 @@ Status Engine::SetUpTasks() {
     for (int d = 0; d < p_to; ++d) {
       TaskState& dest = tasks_[plan_.TaskId(g.to_op, d)];
       if (g.mode == Partitioning::kForward) {
-        dest.channel_wm[plan_.TaskId(g.from_op, d)] = -kInf;
+        dest.wm_from.push_back(plan_.TaskId(g.from_op, d));
       } else {
         for (int u = 0; u < p_from; ++u) {
-          dest.channel_wm[plan_.TaskId(g.from_op, u)] = -kInf;
+          dest.wm_from.push_back(plan_.TaskId(g.from_op, u));
         }
       }
     }
   }
+  for (TaskState& state : tasks_) {
+    std::sort(state.wm_from.begin(), state.wm_from.end());
+    state.wm_from.erase(std::unique(state.wm_from.begin(), state.wm_from.end()),
+                        state.wm_from.end());
+    state.wm_value.assign(state.wm_from.size(), -kInf);
+  }
   return Status::OK();
 }
 
-void Engine::Push(double time, EventKind kind, int task,
-                  std::shared_ptr<Batch> batch) {
+void Engine::Push(double time, EventKind kind, int task, SlotId slot) {
   Event e;
   e.time = time;
   e.seq = seq_++;
   e.kind = kind;
   e.task = task;
-  e.batch = std::move(batch);
-  heap_.push(std::move(e));
+  e.slot = slot;
+  heap_.push(e);
+}
+
+SlotId Engine::AcquireSlot(LogicalPlan::OpId op) {
+  const int cls = op_class_[op];
+  std::vector<SlotId>& free = free_slots_[cls];
+  if (!free.empty()) {
+    const SlotId slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+  const auto slot = static_cast<SlotId>(slab_.size());
+  SubBatch& batch = slab_.emplace_back();
+  batch.rows = data::Batch(class_layouts_[cls]);
+  batch.layout_class = cls;
+  return slot;
+}
+
+void Engine::ReleaseSlot(SlotId slot) {
+  SubBatch& batch = slab_[slot];
+  const int cls = batch.layout_class;
+  if (batch.rows.NumRows() <= kRetainMaxRows) {
+    batch.rows.Clear();
+  } else {
+    batch.rows = data::Batch(class_layouts_[cls]);
+  }
+  free_slots_[cls].push_back(slot);
+}
+
+data::Batch& Engine::OutputScratch(LogicalPlan::OpId op) {
+  data::Batch& outputs = op_outputs_[op];
+  outputs.Clear();
+  return outputs;
 }
 
 double Engine::TaskSpeed(int task) const {
@@ -317,14 +408,16 @@ double Engine::TaskSpeed(int task) const {
   return std::max(1e-6, node.effective_speed * contention);
 }
 
-void Engine::ApplyWatermark(TaskState* state, const Batch& batch) {
+void Engine::ApplyWatermark(TaskState* state, const SubBatch& batch) {
   if (batch.from_task < 0) return;
-  auto it = state->channel_wm.find(batch.from_task);
-  if (it == state->channel_wm.end()) return;
-  if (batch.watermark <= it->second) return;
-  it->second = batch.watermark;
+  const auto it = std::lower_bound(state->wm_from.begin(),
+                                   state->wm_from.end(), batch.from_task);
+  if (it == state->wm_from.end() || *it != batch.from_task) return;
+  double& channel_wm = state->wm_value[it - state->wm_from.begin()];
+  if (batch.watermark <= channel_wm) return;
+  channel_wm = batch.watermark;
   double min_wm = kInf;
-  for (const auto& [from, wm] : state->channel_wm) {
+  for (const double wm : state->wm_value) {
     min_wm = std::min(min_wm, wm);
   }
   state->input_wm = min_wm;
@@ -385,8 +478,7 @@ void Engine::TraceFiring(int task, double start, double duration,
 }
 
 void Engine::RouteOutputs(int task, const data::Batch& outputs,
-                          double sender_wm, bool broadcast_wm, double* cost,
-                          std::vector<PlannedDelivery>* deliveries) {
+                          double sender_wm, bool broadcast_wm, double* cost) {
   const size_t n = outputs.NumRows();
   if (n == 0 && !broadcast_wm) return;
   TaskState& state = tasks_[task];
@@ -398,14 +490,14 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
     const ChannelGroup& g = groups[gi];
     const int p_dest = plan_.ParallelismOf(g.to_op);
     const size_t key_field = plan_.PartitionKeyField(g.to_op, g.input_port);
-    std::vector<std::shared_ptr<Batch>> sub(p_dest);
-    auto sub_batch = [&](int d) -> Batch& {
-      if (!sub[d]) {
-        sub[d] = std::make_shared<Batch>();
-        sub[d]->rows = data::Batch(outputs.layout());
-        sub[d]->input_port = g.input_port;
+    route_slots_.assign(static_cast<size_t>(p_dest), kNoSlot);
+    auto sub_batch = [&](int d) -> SubBatch& {
+      SlotId& slot = route_slots_[d];
+      if (slot == kNoSlot) {
+        slot = AcquireSlot(pt.op);
+        slab_[slot].input_port = g.input_port;
       }
-      return *sub[d];
+      return slab_[slot];
     };
     if (n > 0) {
       switch (g.mode) {
@@ -460,17 +552,19 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
     const bool chained =
         g.mode == Partitioning::kForward && costs_.chain_forward_channels;
     for (int d = 0; d < p_dest; ++d) {
-      if (!sub[d]) continue;
-      sub[d]->from_task = task;
-      sub[d]->watermark = sender_wm;
-      sub[d]->chained = chained;
-      const size_t sub_rows = sub[d]->rows.NumRows();
+      const SlotId slot = route_slots_[d];
+      if (slot == kNoSlot) continue;
+      SubBatch& sub = slab_[slot];
+      sub.from_task = task;
+      sub.watermark = sender_wm;
+      sub.chained = chained;
+      const size_t sub_rows = sub.rows.NumRows();
       const int dest_task = plan_.TaskId(g.to_op, d);
       const int dest_node = placement_.node_of_task[dest_task];
       if (chained && dest_node == src_node) {
         // Same thread: no send cost, immediate delivery.
         state.tuples_out += static_cast<int64_t>(sub_rows);
-        deliveries->push_back({0.0, dest_task, std::move(sub[d])});
+        deliveries_.push_back({0.0, dest_task, slot});
         continue;
       }
       *cost += costs_.subbatch_send_overhead;
@@ -478,7 +572,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
       if (dest_node == src_node) {
         delay = costs_.local_handoff_latency;
       } else {
-        const size_t bytes = sub[d]->rows.WireSize(0, sub_rows);
+        const size_t bytes = sub.rows.WireSize(0, sub_rows);
         *cost += static_cast<double>(bytes) *
                  costs_.serialization_cost_per_byte;
         delay = cluster_.LinkLatencySeconds(src_node, dest_node) +
@@ -486,20 +580,17 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
                     cluster_.LinkBandwidthBytesPerSec(src_node, dest_node);
       }
       state.tuples_out += static_cast<int64_t>(sub_rows);
-      deliveries->push_back({delay, dest_task, std::move(sub[d])});
+      deliveries_.push_back({delay, dest_task, slot});
     }
   }
 }
 
-void Engine::DispatchDeliveries(int task, double completion,
-                                std::vector<PlannedDelivery>* deliveries) {
-  (void)task;
-  for (PlannedDelivery& d : *deliveries) {
-    pending_tuples_ += static_cast<int64_t>(d.batch->rows.NumRows());
-    Push(completion + d.delay, EventKind::kDelivery, d.dest_task,
-         std::move(d.batch));
+void Engine::DispatchDeliveries(double completion) {
+  for (const PlannedDelivery& d : deliveries_) {
+    pending_tuples_ += static_cast<int64_t>(slab_[d.slot].rows.NumRows());
+    Push(completion + d.delay, EventKind::kDelivery, d.dest_task, d.slot);
   }
-  deliveries->clear();
+  deliveries_.clear();
   // Source backpressure caps generation, but mid-pipeline amplification
   // (join cascades) can still outrun it; fail cleanly before memory does.
   if (pending_tuples_ > 4 * options_.max_in_flight_tuples &&
@@ -519,11 +610,10 @@ uint32_t Engine::NewAttr(double birth) {
 }
 
 void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
-                            bool is_source,
-                            std::vector<PlannedDelivery>* deliveries) {
+                            bool is_source) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (PlannedDelivery& d : *deliveries) {
-    for (uint32_t attr : d.batch->rows.attr_ids()) {
+  for (const PlannedDelivery& d : deliveries_) {
+    for (uint32_t attr : slab_[d.slot].rows.attr_ids()) {
       if (attr == kNoAttr) continue;
       LatencyAttr& a = attr_pool_[attr];
       const double delta = completion - a.accounted_until;
@@ -541,9 +631,10 @@ void Engine::ChargeDispatch(LogicalPlan::OpId op, double completion,
   }
 }
 
-void Engine::ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch) {
+void Engine::ChargeNetwork(LogicalPlan::OpId op, double now,
+                           const SubBatch& batch) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch->rows.attr_ids()) {
+  for (uint32_t attr : batch.rows.attr_ids()) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -554,9 +645,10 @@ void Engine::ChargeNetwork(LogicalPlan::OpId op, double now, Batch* batch) {
   }
 }
 
-void Engine::ChargeQueueWait(LogicalPlan::OpId op, double now, Batch* batch) {
+void Engine::ChargeQueueWait(LogicalPlan::OpId op, double now,
+                             const SubBatch& batch) {
   OperatorLatencyStats& acc = op_latency_[op];
-  for (uint32_t attr : batch->rows.attr_ids()) {
+  for (uint32_t attr : batch.rows.attr_ids()) {
     if (attr == kNoAttr) continue;
     LatencyAttr& a = attr_pool_[attr];
     const double delta = now - a.accounted_until;
@@ -604,7 +696,7 @@ void Engine::EmitSourceBatch(int task, double now) {
     ctr_bp_skipped_->Add(n);
     n = 0;
   }
-  data::Batch outputs(out_layouts_[pt.op]);
+  data::Batch& outputs = OutputScratch(pt.op);
   outputs.Reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const double t_event =
@@ -632,9 +724,7 @@ void Engine::EmitSourceBatch(int task, double now) {
       last_batch ||
       now + dt - state.last_wm_broadcast >= options_.watermark_interval_s;
   if (broadcast_wm) state.last_wm_broadcast = now + dt;
-  std::vector<PlannedDelivery> deliveries;
-  RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost,
-               &deliveries);
+  RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost);
   const double service = cost / TaskSpeed(task);
   // The batch becomes visible downstream when the source finishes producing
   // it; a source that cannot keep up (busy_until > now+dt) lags behind.
@@ -648,9 +738,9 @@ void Engine::EmitSourceBatch(int task, double now) {
   // Everything between birth and the batch shipping out — interval fill,
   // source lag and the source's own service — is source-batching time.
   if (attribute_) {
-    ChargeDispatch(pt.op, completion, /*is_source=*/true, &deliveries);
+    ChargeDispatch(pt.op, completion, /*is_source=*/true);
   }
-  DispatchDeliveries(task, completion, &deliveries);
+  DispatchDeliveries(completion);
 
   const double next = now + dt;
   if (next < options_.duration_s) {
@@ -665,7 +755,7 @@ Status Engine::ProcessOne(int task, double now) {
   obs::prof::ProfScope op_scope(obs::prof::FrameKind::kOperator,
                                 OpMarkerId(pt.op));
 
-  data::Batch outputs(out_layouts_[pt.op]);
+  data::Batch& outputs = OutputScratch(pt.op);
   double cost = 0.0;
   bool timer_fire = false;
   size_t in_tuples = 0;
@@ -687,18 +777,19 @@ Status Engine::ProcessOne(int task, double now) {
   } else {
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_process_id_);
-    std::shared_ptr<Batch> batch = state.queue.front();
+    const SlotId slot = state.queue.front();
     state.queue.pop_front();
-    const size_t rows = batch->rows.NumRows();
+    const SubBatch& batch = slab_[slot];
+    const size_t rows = batch.rows.NumRows();
     in_tuples = rows;
     state.queued_tuples -= rows;
     pending_tuples_ -= static_cast<int64_t>(rows);
     state.tuples_in += static_cast<int64_t>(rows);
-    if (attribute_) ChargeQueueWait(pt.op, now, batch.get());
+    if (attribute_) ChargeQueueWait(pt.op, now, batch);
     if (rows == 0) {
       cost = costs_.wm_batch_cost;
     } else {
-      cost = (batch->chained ? 0.0 : costs_.BatchCost(op)) +
+      cost = (batch.chained ? 0.0 : costs_.BatchCost(op)) +
              static_cast<double>(rows) * costs_.InputTupleCost(op);
       ctr_data_batches_->Add(1);
       ctr_data_rows_->Add(static_cast<int64_t>(rows));
@@ -710,10 +801,11 @@ Status Engine::ProcessOne(int task, double now) {
         static_cast<size_t>(std::max<int64_t>(1, options_.batch_rows));
     for (size_t begin = 0; begin < rows; begin += chunk) {
       PDSP_RETURN_NOT_OK(state.instance->ProcessBatch(
-          batch->rows, begin, std::min(rows, begin + chunk),
-          batch->input_port, now, &outputs));
+          batch.rows, begin, std::min(rows, begin + chunk),
+          batch.input_port, now, &outputs));
     }
-    ApplyWatermark(&state, *batch);
+    ApplyWatermark(&state, batch);
+    ReleaseSlot(slot);
   }
   if (outputs.promotions() > 0) {
     ctr_data_promotions_->Add(static_cast<int64_t>(outputs.promotions()));
@@ -763,17 +855,14 @@ Status Engine::ProcessOne(int task, double now) {
         state.input_wm - state.last_wm_broadcast >=
         options_.watermark_interval_s;
     if (broadcast_wm) state.last_wm_broadcast = state.input_wm;
-    std::vector<PlannedDelivery> deliveries;
-    RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost,
-                 &deliveries);
+    RouteOutputs(task, outputs, state.input_wm, broadcast_wm, &cost);
     const double service = cost / TaskSpeed(task);
     state.busy_until = now + service;
     state.busy_time += service;
     if (attribute_) {
-      ChargeDispatch(pt.op, state.busy_until, /*is_source=*/false,
-                     &deliveries);
+      ChargeDispatch(pt.op, state.busy_until, /*is_source=*/false);
     }
-    DispatchDeliveries(task, state.busy_until, &deliveries);
+    DispatchDeliveries(state.busy_until);
   }
 
   if (trace_verbose_) {
@@ -849,7 +938,7 @@ Result<SimResult> Engine::Run() {
             StrFormat("simulation exceeded %lld events",
                       static_cast<long long>(options_.max_events)));
       }
-      Event e = heap_.top();
+      const Event e = heap_.top();
       heap_.pop();
       while (next_sample <= e.time && next_sample <= options_.duration_s) {
         SampleTimeSeries(next_sample);
@@ -863,10 +952,10 @@ Result<SimResult> Engine::Run() {
           break;
         case EventKind::kDelivery:
           if (attribute_) {
-            ChargeNetwork(plan_.task(e.task).op, e.time, e.batch.get());
+            ChargeNetwork(plan_.task(e.task).op, e.time, slab_[e.slot]);
           }
-          state.queue.push_back(e.batch);
-          state.queued_tuples += e.batch->rows.NumRows();
+          state.queue.push_back(e.slot);
+          state.queued_tuples += slab_[e.slot].rows.NumRows();
           state.max_queue_tuples =
               std::max(state.max_queue_tuples, state.queued_tuples);
           MaybeStart(e.task, e.time);

@@ -5,13 +5,15 @@
 #include <filesystem>
 #include <string>
 
+#include "tests/testing/temp_dir.h"
+
 namespace pdsp {
 namespace {
 
 class FileUtilTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/pdsp_file_util_test";
+    dir_ = testing::TestTempDir() + "/files";
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

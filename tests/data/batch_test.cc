@@ -123,6 +123,83 @@ TEST(BatchTest, WireSizeMatchesTupleWireSize) {
   EXPECT_EQ(b.WireSize(0, 0), 0u);
 }
 
+// The simulator recycles small sub-batches with Clear(), so a cleared batch
+// must be indistinguishable from a fresh one: no leftover promotion, no
+// interned views into the released arena, identical contents and sizes.
+TEST(BatchTest, ClearedBatchBehavesLikeFreshBatch) {
+  const data::BatchLayout layout(
+      {DataType::kInt, DataType::kDouble, DataType::kString});
+  const std::string long_payload(data::Batch::kInternMaxBytes + 5, 'y');
+  data::Batch reused(layout);
+  for (int i = 0; i < 40; ++i) {
+    reused.AppendTuple(
+        MakeTuple({Value(i), Value(0.5 * i), Value(i % 2 ? "hot" : "cold")},
+                  i),
+        i, static_cast<uint32_t>(i));
+  }
+  reused.AppendTuple(
+      MakeTuple({Value("promoted"), Value(1.0), Value(long_payload)}, 99.0),
+      99.0, kNoAttr);
+  ASSERT_EQ(reused.promotions(), 1u);
+  ASSERT_TRUE(reused.column_promoted(0));
+  ASSERT_GT(reused.ArenaBytes(), 0u);
+
+  reused.Clear();
+  EXPECT_EQ(reused.NumRows(), 0u);
+  EXPECT_EQ(reused.promotions(), 0u);
+  EXPECT_EQ(reused.ArenaBytes(), 0u);
+  for (size_t c = 0; c < reused.NumColumns(); ++c) {
+    EXPECT_FALSE(reused.column_promoted(c)) << c;
+  }
+
+  // The same appends — per-row, range and gather — on both batches.
+  data::Batch src(layout);
+  for (int i = 0; i < 6; ++i) {
+    src.AppendTuple(
+        MakeTuple({Value(100 + i), Value(i * 0.25),
+                   Value(i % 3 ? std::string("cold") : long_payload)},
+                  10.0 + i),
+        5.0 + i, static_cast<uint32_t>(7 * i));
+  }
+  data::Batch fresh(layout);
+  for (data::Batch* b : {&reused, &fresh}) {
+    b->AppendTuple(MakeTuple({Value(1), Value(2.0), Value("cold")}, 0.5),
+                   0.25, 3);
+    b->AppendInt(0, 2);
+    b->AppendDouble(1, 3.0);
+    b->AppendString(2, "hot");
+    b->FinishRow(0.75, 0.5, kNoAttr);
+    b->AppendRange(src, 1, 4);
+    b->AppendGather(src, {5, 0, 0});
+  }
+
+  ASSERT_EQ(reused.NumRows(), fresh.NumRows());
+  EXPECT_EQ(reused.promotions(), 0u);
+  EXPECT_EQ(fresh.promotions(), 0u);
+  for (size_t c = 0; c < layout.NumColumns(); ++c) {
+    EXPECT_FALSE(reused.column_promoted(c)) << c;
+  }
+  EXPECT_NE(reused.IntData(0), nullptr);
+  EXPECT_EQ(reused.ArenaBytes(), fresh.ArenaBytes());
+  EXPECT_EQ(reused.WireSize(0, reused.NumRows()),
+            fresh.WireSize(0, fresh.NumRows()));
+  for (size_t r = 0; r < fresh.NumRows(); ++r) {
+    for (size_t c = 0; c < layout.NumColumns(); ++c) {
+      EXPECT_EQ(reused.ValueAt(r, c), fresh.ValueAt(r, c)) << r << "," << c;
+    }
+    EXPECT_EQ(reused.event_time(r), fresh.event_time(r)) << r;
+    EXPECT_EQ(reused.birth(r), fresh.birth(r)) << r;
+    EXPECT_EQ(reused.attr_id(r), fresh.attr_id(r)) << r;
+  }
+  // Interning restarted: repeated short keys share one copy in the new
+  // arena rather than resolving to views into the released one.
+  const std::string_view* d = reused.StringData(2);
+  ASSERT_NE(d, nullptr);
+  ASSERT_EQ(d[0], "cold");
+  ASSERT_EQ(d[2], "cold");  // src row 1, appended by AppendRange
+  EXPECT_EQ(d[0].data(), d[2].data());
+}
+
 // The property test of the tentpole contract: any tuple a randomized
 // Table-3 stream can produce (1-15 columns, every type mix) survives a trip
 // through a batch — including through gather and range copies — unchanged.

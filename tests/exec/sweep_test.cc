@@ -13,6 +13,7 @@
 #include "src/common/string_util.h"
 #include "src/obs/ledger.h"
 #include "src/store/json.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -49,8 +50,7 @@ std::vector<SweepCell> MakeGrid(const std::string& ledger_path = "") {
 }
 
 std::string TempLedgerPath(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/pdsp_sweep_test";
-  std::filesystem::create_directories(dir);
+  const std::string dir = testing::TestTempDir();
   const std::string path = dir + "/" + name + ".jsonl";
   std::filesystem::remove(path);
   return path;

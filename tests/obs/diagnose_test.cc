@@ -15,6 +15,7 @@
 #include "src/obs/artifacts.h"
 #include "src/obs/diagnose.h"
 #include "src/sim/simulation.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -267,9 +268,8 @@ TEST(DiagnoseTest, ArtifactBundleIncludesDiagnosisJsonAtomically) {
   auto diag = obs::DiagnoseRun(*plan, cluster, *r);
   ASSERT_TRUE(diag.ok()) << diag.status().ToString();
 
-  const std::string dir =
-      ::testing::TempDir() + "/pdsp_diagnosis_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  const std::string dir = testing::TestTempDir() + "/bundle";
+  std::filesystem::remove_all(dir);
   Status st = obs::WriteRunArtifacts(dir, *r, nullptr, &*diag);
   ASSERT_TRUE(st.ok()) << st.ToString();
 

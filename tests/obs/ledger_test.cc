@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/file_util.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -120,8 +121,9 @@ TEST(MakeRunIdTest, EmbedsLabelAndIsUnique) {
 class RunLedgerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/pdsp_ledger_test/ledger.jsonl";
-    std::filesystem::remove_all(::testing::TempDir() + "/pdsp_ledger_test");
+    const std::string dir = testing::TestTempDir() + "/ledger";
+    std::filesystem::remove_all(dir);
+    path_ = dir + "/ledger.jsonl";
   }
   std::string path_;
 };

@@ -15,6 +15,7 @@
 #include "src/obs/host_profile.h"
 #include "src/obs/prof.h"
 #include "src/store/json.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -311,7 +312,7 @@ TEST(DiagnoseMemProfileTest, FlagsDominanceRetentionAndNodeBudget) {
 
 TEST(MeasureCellMemTest, WritesMemoryJsonAndLedgerSummary) {
   if (!InterpositionAvailable()) GTEST_SKIP() << "interposition absent";
-  const std::string dir = ::testing::TempDir() + "/pdsp_mem_cell";
+  const std::string dir = testing::TestTempDir() + "/cell";
   std::filesystem::remove_all(dir);
   auto plan = testing::LinearPlan(5000.0, 2);
   ASSERT_TRUE(plan.ok());

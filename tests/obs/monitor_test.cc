@@ -11,6 +11,7 @@
 #include "src/common/file_util.h"
 #include "src/common/string_util.h"
 #include "src/store/json.h"
+#include "tests/testing/temp_dir.h"
 
 namespace pdsp {
 namespace obs {
@@ -232,8 +233,7 @@ TEST(SweepProgressTest, MismatchedFinishIsIgnored) {
 }
 
 std::string TempPath(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/pdsp_monitor_test";
-  std::filesystem::create_directories(dir);
+  const std::string dir = testing::TestTempDir();
   const std::string path = dir + "/" + name;
   std::filesystem::remove(path);
   return path;

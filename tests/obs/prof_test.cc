@@ -17,6 +17,7 @@
 #include "src/harness/harness.h"
 #include "src/obs/svg.h"
 #include "src/store/json.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -284,7 +285,7 @@ TEST(CpuProfileJsonTest, RejectsUnknownSchemaVersion) {
 }
 
 TEST(MeasureCellProfileTest, WritesProfileJsonAndLedgerSummary) {
-  const std::string dir = ::testing::TempDir() + "/pdsp_prof_cell";
+  const std::string dir = testing::TestTempDir() + "/cell";
   std::filesystem::remove_all(dir);
   auto plan = testing::LinearPlan(5000.0, 2);
   ASSERT_TRUE(plan.ok());

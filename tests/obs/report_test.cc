@@ -13,14 +13,14 @@
 #include "src/common/string_util.h"
 #include "src/obs/ledger.h"
 #include "src/obs/prof.h"
+#include "tests/testing/temp_dir.h"
 
 namespace pdsp {
 namespace obs {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/pdsp_report_test";
-  std::filesystem::create_directories(dir);
+  const std::string dir = testing::TestTempDir();
   const std::string path = dir + "/" + name;
   std::filesystem::remove(path);
   return path;
@@ -85,7 +85,7 @@ TEST(IsSummaryLabelTest, MatchesSweepSummariesOnly) {
 
 TEST(LoadRecordsForReportTest, LoadsLedgerSingleRecordAndDirectory) {
   // JSONL ledger.
-  const std::string dir = ::testing::TempDir() + "/pdsp_report_test/bundle";
+  const std::string dir = testing::TestTempDir() + "/bundle";
   std::filesystem::create_directories(dir);
   const std::string ledger_path = dir + "/ledger.jsonl";
   std::filesystem::remove(ledger_path);
@@ -211,8 +211,7 @@ TEST(WriteReportFileTest, EndToEndLedgerToHtmlOnDisk) {
 }
 
 TEST(GenerateReportTest, ProfiledBundlesGetFlameGraphAndCpuTable) {
-  const std::string dir =
-      ::testing::TempDir() + "/pdsp_report_test/prof_bundle";
+  const std::string dir = testing::TestTempDir() + "/prof_bundle";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   prof::CpuProfile profile;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "src/obs/artifacts.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulation.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -144,9 +146,8 @@ TEST(SimObsTest, ArtifactBundleWritesAllThreeFiles) {
   auto r = RunLinear(1.0, 0.25, &tracer);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  const std::string dir =
-      ::testing::TempDir() + "/pdsp_obs_bundle_" +
-      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  const std::string dir = testing::TestTempDir() + "/bundle";
+  std::filesystem::remove_all(dir);
   Status st = obs::WriteRunArtifacts(dir, *r, &tracer);
   ASSERT_TRUE(st.ok()) << st.ToString();
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/obs/trace.h"
+#include "tests/testing/temp_dir.h"
 
 namespace pdsp {
 namespace obs {
@@ -26,7 +27,7 @@ TEST(TraceRoundtripTest, WriteReadParseVerify) {
   tracer.SetThreadName(kVirtualPid, 3, "agg[0]");
   ASSERT_EQ(tracer.NumEvents(), 5u);
 
-  const std::string path = ::testing::TempDir() + "/pdsp_trace_roundtrip.json";
+  const std::string path = testing::TestTempDir() + "/trace.json";
   Status st = tracer.WriteFile(path);
   ASSERT_TRUE(st.ok()) << st.ToString();
 

@@ -14,7 +14,9 @@ StreamElement Elem(std::vector<Value> values) {
 OperatorDescriptor UdoDesc(const std::string& kind, double selectivity = 1.0) {
   OperatorDescriptor op;
   op.type = OperatorType::kUdo;
-  op.name = "u";
+  // Not `= "u"`: GCC 12 at -O3 misreports that assignment as an
+  // overlapping memcpy (-Werror=restrict).
+  op.name = std::string("u");
   op.udo_kind = kind;
   op.udo_selectivity = selectivity;
   return op;

@@ -12,6 +12,7 @@
 #include <cstring>
 
 #include "src/apps/apps.h"
+#include "src/harness/synthetic_suite.h"
 #include "src/sim/simulation.h"
 
 namespace pdsp {
@@ -102,6 +103,41 @@ TEST(BatchEquivalenceTest, AllFourteenAppsBitIdenticalAcrossBatchSizes) {
     }
     ExpectBitIdentical(*row, *batch, info.abbrev);
   }
+}
+
+// Canonical plans at the parallelism where the engine's sub-batch slab
+// matters: at p=64 the linear plan routes 1-row and watermark-only
+// sub-batches to 64 instances, all of them recycled with their storage;
+// the p=8 join adds a second output layout sharing the free lists, and
+// ~4% of its sub-batches exceed the slab's 16-row retention limit, so
+// they take the reset path.
+void ExpectCanonicalBitIdentical(SyntheticStructure structure,
+                                 int parallelism, const char* name) {
+  CanonicalOptions canon;
+  canon.event_rate = 200000.0;
+  canon.parallelism = parallelism;
+  auto plan = MakeCanonicalSynthetic(structure, canon);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions one = AppOptionsFor(1);
+  one.sim.duration_s = 0.5;
+  one.sim.warmup_s = 0.1;
+  ExecutionOptions wide = one;
+  wide.sim.batch_rows = 1024;
+  auto a = ExecutePlan(*plan, Cluster::M510(10), one);
+  auto b = ExecutePlan(*plan, Cluster::M510(10), wide);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_GT(a->sink_tuples, 0) << name;
+  ExpectBitIdentical(*a, *b, name);
+}
+
+TEST(BatchEquivalenceTest, CanonicalLinearAtP64BitIdenticalAcrossBatchSizes) {
+  ExpectCanonicalBitIdentical(SyntheticStructure::kLinear, 64, "linear-p64");
+}
+
+TEST(BatchEquivalenceTest, CanonicalJoinAtP8BitIdenticalAcrossBatchSizes) {
+  ExpectCanonicalBitIdentical(SyntheticStructure::kTwoWayJoin, 8,
+                              "join2-p8");
 }
 
 TEST(BatchEquivalenceTest, DefaultBatchRowsMatchesTupleAtATime) {

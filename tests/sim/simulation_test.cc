@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
+#include "src/harness/synthetic_suite.h"
 #include "src/query/cardinality.h"
 #include "tests/testing/test_plans.h"
 
@@ -229,6 +232,38 @@ TEST(SimulationTest, FasterClusterGivesLowerOrEqualLatencyUnderLoad) {
   auto fast = ExecutePlan(*plan, Cluster::C6525(2), FastOptions());
   ASSERT_TRUE(slow.ok() && fast.ok());
   EXPECT_LT(fast->median_latency_s, slow->median_latency_s);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// A pinned trajectory for the engine-bound canonical run (linear at p=64,
+// 200k ev/s, seed 42): 1-row sub-batches broadcast to 64 instances, so any
+// change to event order, routing or watermark propagation moves these
+// numbers. The values were recorded before the engine's sub-batch slab
+// replaced per-event allocations, and must not be re-recorded for an
+// engine optimization — only for a deliberate model change.
+TEST(SimulationGoldenTest, CanonicalLinearP64ReproducesRecordedRun) {
+  CanonicalOptions canon;
+  canon.event_rate = 200000.0;
+  canon.parallelism = 64;
+  auto plan = MakeCanonicalSynthetic(SyntheticStructure::kLinear, canon);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 0.5;
+  opt.sim.warmup_s = 0.1;
+  opt.sim.seed = 42;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->events_processed, 464882);
+  EXPECT_EQ(r->sink_tuples, 1000);
+  EXPECT_EQ(Bits(r->median_latency_s), 0x3fe014e0b6deebe4ULL)
+      << r->median_latency_s;
+  EXPECT_EQ(Bits(r->p99_latency_s), 0x3fe068c366c4ad20ULL)
+      << r->p99_latency_s;
 }
 
 }  // namespace
