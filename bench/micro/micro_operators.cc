@@ -11,6 +11,7 @@
 
 #include "src/apps/apps.h"
 #include "src/data/batch.h"
+#include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
 #include "src/runtime/udo.h"
@@ -77,6 +78,39 @@ void BM_WindowJoinProcess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowJoinProcess);
+
+// The batch twin of BM_WindowJoinProcess: the same keys, values and event
+// time step, fed as `rows`-row batches alternating between the inputs.
+// Building each batch is not timed; rows/s is comparable to the Process
+// benchmark's per-element rate.
+void BM_WindowJoinBatch(benchmark::State& state) {
+  auto plan = testing::TwoWayJoinPlan();
+  const LogicalPlan::OpId join = *plan->FindOperator("join");
+  auto inst = CreateOperatorInstance(*plan, join, 0, 1);
+  const auto rows = static_cast<size_t>(state.range(0));
+  data::Batch in(data::BatchLayout({DataType::kInt, DataType::kDouble}));
+  data::Batch out(LayoutForSchema(plan->OutputSchema(join)));
+  Rng rng(1);
+  double t = 0.0;
+  int port = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    in.Clear();
+    out.Clear();
+    for (size_t r = 0; r < rows; ++r) {
+      in.AppendInt(0, rng.UniformInt(1, 100));
+      in.AppendDouble(1, rng.Uniform(0.0, 100.0));
+      in.FinishRow(t, t, kNoAttr);
+      t += 1e-5;
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        (*inst)->ProcessBatch(in, 0, rows, port, t, &out));
+    port ^= 1;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_WindowJoinBatch)->Arg(1024);
 
 void BM_UdoSentimentScore(benchmark::State& state) {
   RegisterAppUdos();

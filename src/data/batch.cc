@@ -202,6 +202,66 @@ void Batch::AppendGather(const Batch& src, const SelectionVector& sel) {
   }
 }
 
+void Batch::AppendRow(const Batch& src, size_t row) {
+  assert(src.NumColumns() == columns_.size());
+  for (size_t col = 0; col < columns_.size(); ++col) {
+    AppendCell(col, src, col, row);
+  }
+  FinishRow(src.event_time_[row], src.birth_[row], src.attr_id_[row]);
+}
+
+void Batch::AppendCell(size_t col, const Batch& src, size_t src_col,
+                       size_t row) {
+  const Column& s = src.columns_[src_col];
+  Column& d = columns_[col];
+  if (s.promoted || d.promoted || s.type != d.type) {
+    AppendValue(col, src.ValueAt(row, src_col));
+    return;
+  }
+  switch (d.type) {
+    case DataType::kInt:
+      d.ints.push_back(s.ints[row]);
+      break;
+    case DataType::kDouble:
+      d.doubles.push_back(s.doubles[row]);
+      break;
+    case DataType::kString:
+      d.strings.push_back(InternOrAdd(s.strings[row]));
+      break;
+  }
+}
+
+void Batch::AppendColumnGather(size_t col, const Batch& src, size_t src_col,
+                               const SelectionVector& sel) {
+  const Column& s = src.columns_[src_col];
+  Column& d = columns_[col];
+  if (s.promoted || d.promoted || s.type != d.type) {
+    for (uint32_t r : sel) AppendValue(col, src.ValueAt(r, src_col));
+    return;
+  }
+  switch (d.type) {
+    case DataType::kInt:
+      for (uint32_t r : sel) d.ints.push_back(s.ints[r]);
+      break;
+    case DataType::kDouble:
+      for (uint32_t r : sel) d.doubles.push_back(s.doubles[r]);
+      break;
+    case DataType::kString:
+      for (uint32_t r : sel) d.strings.push_back(InternOrAdd(s.strings[r]));
+      break;
+  }
+}
+
+void Batch::FinishRows(const double* event_time, const double* birth,
+                       const uint32_t* attr_id, size_t n) {
+#ifndef NDEBUG
+  for (const Column& c : columns_) assert(c.size() == event_time_.size() + n);
+#endif
+  event_time_.insert(event_time_.end(), event_time, event_time + n);
+  birth_.insert(birth_.end(), birth, birth + n);
+  attr_id_.insert(attr_id_.end(), attr_id, attr_id + n);
+}
+
 const int64_t* Batch::IntData(size_t col) const {
   const Column& c = columns_[col];
   if (c.promoted || c.type != DataType::kInt) return nullptr;
@@ -218,6 +278,11 @@ const std::string_view* Batch::StringData(size_t col) const {
   const Column& c = columns_[col];
   if (c.promoted || c.type != DataType::kString) return nullptr;
   return c.strings.data();
+}
+
+const Value* Batch::MixedData(size_t col) const {
+  const Column& c = columns_[col];
+  return c.promoted ? c.mixed.data() : nullptr;
 }
 
 Value Batch::ValueAt(size_t row, size_t col) const {

@@ -150,6 +150,24 @@ class Batch {
   /// Appends the selected rows of `src` in selection order (indices may
   /// repeat: FlatMap replication).
   void AppendGather(const Batch& src, const SelectionVector& sel);
+  /// Appends row `row` of `src`. Unlike AppendRange the layouts need not
+  /// match: a cell whose type disagrees with its column promotes the column
+  /// exactly as AppendValue does.
+  void AppendRow(const Batch& src, size_t row);
+
+  // --- cell and column-wise copies (keyed state) -------------------------
+  // Like AppendInt & co., these append to one column; close rows with
+  // FinishRow, or with FinishRows after AppendColumnGather has filled every
+  // column with selections of one length n. Both copy with AppendValue's
+  // promotion rule when the types disagree.
+
+  /// Appends cell (row, src_col) of `src` to column `col`.
+  void AppendCell(size_t col, const Batch& src, size_t src_col, size_t row);
+  /// Appends `src` column `src_col` at the selected rows to column `col`.
+  void AppendColumnGather(size_t col, const Batch& src, size_t src_col,
+                          const SelectionVector& sel);
+  void FinishRows(const double* event_time, const double* birth,
+                  const uint32_t* attr_id, size_t n);
 
   // --- column reads -------------------------------------------------------
 
@@ -162,6 +180,8 @@ class Batch {
   const int64_t* IntData(size_t col) const;
   const double* DoubleData(size_t col) const;
   const std::string_view* StringData(size_t col) const;
+  /// The dynamically typed cells of a promoted column; nullptr otherwise.
+  const Value* MixedData(size_t col) const;
 
   /// Dynamically typed read of one cell (exact: promotion preserves the
   /// original Value).

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <queue>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/obs/prof.h"
+#include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
+#include "src/runtime/keyed_state.h"
 #include "src/runtime/udo.h"
 
 namespace pdsp {
@@ -198,29 +199,65 @@ struct AggState {
   }
 };
 
-// Time-policy window aggregation with sliding panes aligned to the slide.
-class TimeWindowAggExec : public OperatorInstance {
+// Base of the keyed-state operators (window aggregates and joins), whose
+// semantics live in ProcessBatch alone: Process runs the element through it
+// as a one-row batch in its input port's layout and returns the output rows
+// as elements.
+class KeyedStateExec : public OperatorInstance {
  public:
-  explicit TimeWindowAggExec(const OperatorDescriptor& op)
-      : op_(op),
-        duration_(op.window.DurationSeconds()),
-        slide_(std::max(1e-9, op.window.SlideSeconds())) {}
+  KeyedStateExec(const std::vector<data::BatchLayout>& in_layouts,
+                 data::BatchLayout out_layout)
+      : row_out_(std::move(out_layout)) {
+    for (const data::BatchLayout& layout : in_layouts) {
+      row_in_.emplace_back(layout);
+    }
+  }
 
-  Status Process(const StreamElement& e, int, double,
+  Status Process(const StreamElement& e, int input_port, double now,
                  std::vector<StreamElement>* out) override {
-    (void)out;
-    if (op_.agg_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("aggregate field beyond tuple arity");
+    if (input_port < 0 || static_cast<size_t>(input_port) >= row_in_.size()) {
+      return Status::OutOfRange(
+          StrFormat("input port %d of an operator with %zu inputs",
+                    input_port, row_in_.size()));
     }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("key field beyond tuple arity");
+    data::Batch& in = row_in_[static_cast<size_t>(input_port)];
+    if (e.tuple.values.size() != in.NumColumns()) {
+      return Status::InvalidArgument(
+          StrFormat("element arity %zu but the input schema has %zu fields",
+                    e.tuple.values.size(), in.NumColumns()));
     }
-    const Value key = keyed ? e.tuple.values[op_.key_field] : Value(0);
-    AddRow(e.tuple.event_time, key,
-           e.tuple.values[op_.agg_field].AsNumeric(), e.birth, e.attr_id);
+    in.Clear();
+    in.AppendTuple(e.tuple, e.birth, e.attr_id);
+    row_out_.Clear();
+    PDSP_RETURN_NOT_OK(ProcessBatch(in, 0, 1, input_port, now, &row_out_));
+    for (size_t row = 0; row < row_out_.NumRows(); ++row) {
+      StreamElement o;
+      o.tuple = row_out_.RowTuple(row);
+      o.birth = row_out_.birth(row);
+      o.attr_id = row_out_.attr_id(row);
+      out->push_back(std::move(o));
+    }
     return Status::OK();
   }
+
+ private:
+  std::vector<data::Batch> row_in_;  // one-row scratch, per input port
+  data::Batch row_out_;
+};
+
+// Time-policy window aggregation with sliding panes aligned to the slide.
+// Each pane keeps its keys in a hash index; firing sorts them into KeyLess
+// order, the ascending Value order an ordered map would iterate in.
+class TimeWindowAggExec : public KeyedStateExec {
+ public:
+  TimeWindowAggExec(const OperatorDescriptor& op,
+                    const std::vector<data::BatchLayout>& in_layouts,
+                    data::BatchLayout out_layout)
+      : KeyedStateExec(in_layouts, std::move(out_layout)),
+        op_(op),
+        keyed_(op.key_field != OperatorDescriptor::kNoKey),
+        duration_(op.window.DurationSeconds()),
+        slide_(std::max(1e-9, op.window.SlideSeconds())) {}
 
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
@@ -229,19 +266,21 @@ class TimeWindowAggExec : public OperatorInstance {
     if (op_.agg_field >= in.NumColumns()) {
       return Status::OutOfRange("aggregate field beyond tuple arity");
     }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= in.NumColumns()) {
+    if (keyed_ && op_.key_field >= in.NumColumns()) {
       return Status::OutOfRange("key field beyond tuple arity");
     }
-    // Columnar pre-pass: one tight loop extracts the aggregate column's
-    // numeric view; only the key column is materialized per row.
+    // Columnar pre-pass: the aggregate column's numeric view and the key
+    // column's canonical keys and hashes, each in one tight loop.
     vals_.resize(row_end - row_begin);
     kernels::NumericColumn(in, row_begin, row_end, op_.agg_field,
                            vals_.data());
+    if (keyed_) {
+      KeyColumn(in, row_begin, row_end, op_.key_field, &keys_, &hashes_);
+    }
     for (size_t row = row_begin; row < row_end; ++row) {
-      const Value key = keyed ? in.ValueAt(row, op_.key_field) : Value(0);
-      AddRow(in.event_time(row), key, vals_[row - row_begin], in.birth(row),
-             in.attr_id(row));
+      const size_t i = row - row_begin;
+      AddRow(in, row, keyed_ ? keys_[i] : global_key_,
+             keyed_ ? hashes_[i] : global_hash_, vals_[i]);
     }
     return Status::OK();
   }
@@ -251,16 +290,23 @@ class TimeWindowAggExec : public OperatorInstance {
       const int64_t pane = panes_.begin()->first;
       const double pane_end = static_cast<double>(pane) * slide_ + duration_;
       if (pane_end > now) break;
-      const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-      for (const auto& [key, state] : panes_.begin()->second) {
+      const Pane& p = panes_.begin()->second;
+      order_.resize(p.entries.size());
+      for (uint32_t id = 0; id < order_.size(); ++id) order_[id] = id;
+      std::sort(order_.begin(), order_.end(), [&p](uint32_t a, uint32_t b) {
+        return KeyLess(p.keys.key(a), p.keys.key(b));
+      });
+      for (uint32_t id : order_) {
+        const PaneEntry& entry = p.entries[id];
         StreamElement result;
         result.tuple.event_time = pane_end;
-        result.birth = state.first_birth;
-        result.attr_id = state.first_attr_id;
-        if (keyed) result.tuple.values.push_back(key);
-        result.tuple.values.push_back(Value(state.Finish(op_.agg_fn)));
+        result.birth = entry.state.first_birth;
+        result.attr_id = entry.state.first_attr_id;
+        if (keyed_) result.tuple.values.push_back(entry.key);
+        result.tuple.values.push_back(Value(entry.state.Finish(op_.agg_fn)));
         out->push_back(std::move(result));
       }
+      state_keys_ -= p.entries.size();
       panes_.erase(panes_.begin());
       watermark_ = std::max(watermark_, pane_end);
     }
@@ -278,17 +324,27 @@ class TimeWindowAggExec : public OperatorInstance {
     (void)now;
   }
 
-  size_t StateSize() const override {
-    size_t total = 0;
-    for (const auto& [pane, keys] : panes_) total += keys.size();
-    return total;
-  }
+  size_t StateSize() const override { return state_keys_; }
 
   int64_t LateDrops() const override { return late_drops_; }
 
  private:
-  void AddRow(double t, const Value& key, double v, double birth,
-              uint32_t attr_id) {
+  struct PaneEntry {
+    AggState state;
+    // The first key cell the pane saw for this key is the key it emits, as
+    // an ordered map keeps the first of several equal keys (3 and 3.0, -0.0
+    // and 0.0, or ints that round to one double).
+    Value key;
+  };
+
+  struct Pane {
+    KeyIndex keys;
+    std::vector<PaneEntry> entries;  // by key id
+  };
+
+  void AddRow(const data::Batch& in, size_t row, const KeyRef& key,
+              uint64_t hash, double v) {
+    const double t = in.event_time(row);
     // Panes containing t: starts in (t - duration, t], aligned to slide.
     const auto last_pane = static_cast<int64_t>(std::floor(t / slide_));
     bool contributed = false;
@@ -298,50 +354,53 @@ class TimeWindowAggExec : public OperatorInstance {
       if (start + duration_ <= watermark_) continue;  // pane already fired
       auto [it, inserted] = panes_.try_emplace(pane);
       if (inserted) timer_heap_.push(start + duration_);
-      it->second[key].Add(v, birth, attr_id);
+      Pane& p = it->second;
+      bool new_key = false;
+      const uint32_t id = p.keys.Insert(key, hash, &new_key);
+      if (new_key) {
+        p.entries.push_back(
+            {AggState{}, keyed_ ? in.ValueAt(row, op_.key_field) : Value()});
+        ++state_keys_;
+      }
+      p.entries[id].state.Add(v, in.birth(row), in.attr_id(row));
       contributed = true;
     }
     if (!contributed) ++late_drops_;
   }
 
   OperatorDescriptor op_;
+  bool keyed_;
   double duration_;
   double slide_;
+  const KeyRef global_key_ = NumericKey(0.0);  // the unkeyed window's key
+  uint64_t global_hash_ = HashKey(global_key_);
   double watermark_ = -kInf;  // end of the latest fired pane
   int64_t late_drops_ = 0;
-  std::vector<double> vals_;  // scratch for the columnar numeric pre-pass
+  size_t state_keys_ = 0;  // (pane, key) entries held
+  // Scratch for the columnar pre-pass and the fire-time sort.
+  std::vector<double> vals_;
+  std::vector<KeyRef> keys_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> order_;
   uint32_t kernel_id_ = KernelMarker("aggregate-kernel");
-  // pane index -> key -> aggregate state; ordered so firing pops from front.
-  std::map<int64_t, std::map<Value, AggState>> panes_;
+  // Pane index -> pane; ordered so firing pops from the front.
+  std::map<int64_t, Pane> panes_;
   std::priority_queue<double, std::vector<double>, std::greater<>> timer_heap_;
 };
 
 // Count-policy window aggregation: per key, fire every SlideTuples() once
 // the buffer holds length_tuples elements.
-class CountWindowAggExec : public OperatorInstance {
+class CountWindowAggExec : public KeyedStateExec {
  public:
-  explicit CountWindowAggExec(const OperatorDescriptor& op)
-      : op_(op),
+  CountWindowAggExec(const OperatorDescriptor& op,
+                     const std::vector<data::BatchLayout>& in_layouts,
+                     data::BatchLayout out_layout)
+      : KeyedStateExec(in_layouts, std::move(out_layout)),
+        op_(op),
+        keyed_(op.key_field != OperatorDescriptor::kNoKey),
         length_(std::max<int64_t>(1, op.window.length_tuples)),
-        slide_(std::max<int64_t>(1, op.window.SlideTuples())) {}
-
-  Status Process(const StreamElement& e, int, double,
-                 std::vector<StreamElement>* out) override {
-    if (op_.agg_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("aggregate field beyond tuple arity");
-    }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= e.tuple.values.size()) {
-      return Status::OutOfRange("key field beyond tuple arity");
-    }
-    const Value key = keyed ? e.tuple.values[op_.key_field] : Value(0);
-    StreamElement fired;
-    if (AddRow(key, keyed, e.tuple.values[op_.agg_field].AsNumeric(),
-               e.tuple.event_time, e.birth, e.attr_id, &fired)) {
-      out->push_back(std::move(fired));
-    }
-    return Status::OK();
-  }
+        slide_(static_cast<size_t>(
+            std::max<int64_t>(1, op.window.SlideTuples()))) {}
 
   Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
                       int, double, data::Batch* out) override {
@@ -349,29 +408,49 @@ class CountWindowAggExec : public OperatorInstance {
     if (op_.agg_field >= in.NumColumns()) {
       return Status::OutOfRange("aggregate field beyond tuple arity");
     }
-    const bool keyed = op_.key_field != OperatorDescriptor::kNoKey;
-    if (keyed && op_.key_field >= in.NumColumns()) {
+    if (keyed_ && op_.key_field >= in.NumColumns()) {
       return Status::OutOfRange("key field beyond tuple arity");
+    }
+    const size_t agg_col = keyed_ ? 1 : 0;
+    if (out->NumColumns() != agg_col + 1) {
+      return Status::Internal(StrFormat(
+          "count window emits %zu fields but its output schema has %zu",
+          agg_col + 1, out->NumColumns()));
     }
     vals_.resize(row_end - row_begin);
     kernels::NumericColumn(in, row_begin, row_end, op_.agg_field,
                            vals_.data());
+    if (keyed_) {
+      KeyColumn(in, row_begin, row_end, op_.key_field, &keys_, &hashes_);
+    }
     for (size_t row = row_begin; row < row_end; ++row) {
-      const Value key = keyed ? in.ValueAt(row, op_.key_field) : Value(0);
-      StreamElement fired;
-      if (AddRow(key, keyed, vals_[row - row_begin], in.event_time(row),
-                 in.birth(row), in.attr_id(row), &fired)) {
-        out->AppendTuple(fired.tuple, fired.birth, fired.attr_id);
+      const size_t i = row - row_begin;
+      bool new_key = false;
+      const uint32_t id =
+          index_.Insert(keyed_ ? keys_[i] : global_key_,
+                        keyed_ ? hashes_[i] : global_hash_, &new_key);
+      if (new_key) buffers_.emplace_back();
+      std::vector<Entry>& buf = buffers_[id];
+      buf.push_back({vals_[i], in.birth(row), in.attr_id(row)});
+      ++state_rows_;
+      if (static_cast<int64_t>(buf.size()) < length_) continue;
+      AggState state;
+      for (const Entry& entry : buf) {
+        state.Add(entry.value, entry.birth, entry.attr_id);
       }
+      // The result carries the firing row's own key cell.
+      if (keyed_) out->AppendCell(0, in, op_.key_field, row);
+      out->AppendDouble(agg_col, state.Finish(op_.agg_fn));
+      out->FinishRow(in.event_time(row), state.first_birth,
+                     state.first_attr_id);
+      const size_t drop = std::min(slide_, buf.size());
+      buf.erase(buf.begin(), buf.begin() + static_cast<int64_t>(drop));
+      state_rows_ -= drop;
     }
     return Status::OK();
   }
 
-  size_t StateSize() const override {
-    size_t total = 0;
-    for (const auto& [key, buf] : buffers_) total += buf.size();
-    return total;
-  }
+  size_t StateSize() const override { return state_rows_; }
 
  private:
   struct Entry {
@@ -380,136 +459,155 @@ class CountWindowAggExec : public OperatorInstance {
     uint32_t attr_id;
   };
 
-  /// Buffers one element; fires the key's window into *fired (returning
-  /// true) once the buffer reaches the window length.
-  bool AddRow(const Value& key, bool keyed, double v, double event_time,
-              double birth, uint32_t attr_id, StreamElement* fired) {
-    auto& buf = buffers_[key];
-    buf.push_back({v, birth, attr_id});
-    if (static_cast<int64_t>(buf.size()) < length_) return false;
-    AggState state;
-    for (const Entry& entry : buf) {
-      state.Add(entry.value, entry.birth, entry.attr_id);
-    }
-    fired->tuple.event_time = event_time;
-    fired->birth = state.first_birth;
-    fired->attr_id = state.first_attr_id;
-    if (keyed) fired->tuple.values.push_back(key);
-    fired->tuple.values.push_back(Value(state.Finish(op_.agg_fn)));
-    for (int64_t i = 0; i < slide_ && !buf.empty(); ++i) buf.pop_front();
-    return true;
-  }
-
   OperatorDescriptor op_;
+  bool keyed_;
   int64_t length_;
-  int64_t slide_;
-  std::map<Value, std::deque<Entry>> buffers_;
+  size_t slide_;
+  const KeyRef global_key_ = NumericKey(0.0);  // the unkeyed window's key
+  uint64_t global_hash_ = HashKey(global_key_);
+  KeyIndex index_;
+  std::vector<std::vector<Entry>> buffers_;  // by key id
+  size_t state_rows_ = 0;
   std::vector<double> vals_;
+  std::vector<KeyRef> keys_;
+  std::vector<uint64_t> hashes_;
   uint32_t kernel_id_ = KernelMarker("aggregate-kernel");
 };
 
 // Windowed equi-join. Time policy: per-side keyed buffers holding the last
 // `duration` seconds of elements (by event time); every arrival probes the
 // opposite side. Count policy: per-side per-key buffers of the last
-// length_tuples elements.
-class WindowJoinExec : public OperatorInstance {
+// length_tuples elements. Buffers are KeyedRowStores sharing one key index;
+// matches are gathered as (arriving row, buffered row) pairs and written to
+// the output column by column.
+class WindowJoinExec : public KeyedStateExec {
  public:
-  explicit WindowJoinExec(const OperatorDescriptor& op)
-      : op_(op), duration_(op.window.DurationSeconds()) {}
+  WindowJoinExec(const OperatorDescriptor& op,
+                 const std::vector<data::BatchLayout>& in_layouts,
+                 data::BatchLayout out_layout)
+      : KeyedStateExec(in_layouts, std::move(out_layout)),
+        op_(op),
+        duration_(op.window.DurationSeconds()),
+        cap_(static_cast<size_t>(
+            std::max<int64_t>(1, op.window.length_tuples))),
+        sides_{KeyedRowStore(in_layouts[0]), KeyedRowStore(in_layouts[1])} {}
 
-  Status Process(const StreamElement& e, int input_port, double,
-                 std::vector<StreamElement>* out) override {
+  Status ProcessBatch(const data::Batch& in, size_t row_begin, size_t row_end,
+                      int input_port, double, data::Batch* out) override {
     if (input_port < 0 || input_port > 1) {
       return Status::OutOfRange("join input port must be 0 or 1");
     }
     const size_t key_field =
         input_port == 0 ? op_.join_left_key : op_.join_right_key;
-    if (key_field >= e.tuple.values.size()) {
+    if (key_field >= in.NumColumns()) {
       return Status::OutOfRange("join key beyond tuple arity");
     }
-    const Value key = e.tuple.values[key_field];
-    const double t = e.tuple.event_time;
-
-    Side& mine = sides_[input_port];
-    Side& other = sides_[1 - input_port];
-
-    // Evict expired entries from the probed key bucket (time policy).
-    auto other_it = other.buffers.find(key);
-    if (other_it != other.buffers.end()) {
-      auto& buf = other_it->second;
-      if (op_.window.policy == WindowPolicy::kTime) {
-        size_t expired = 0;
-        while (expired < buf.size() &&
-               buf[expired].tuple.event_time < t - duration_) {
-          ++expired;
-        }
-        if (expired > 0) {
-          buf.erase(buf.begin(), buf.begin() + static_cast<int64_t>(expired));
-          other.total -= expired;
-        }
-      }
-      for (const StreamElement& match : buf) {
-        StreamElement joined;
-        joined.tuple.event_time = std::max(t, match.tuple.event_time);
-        joined.birth = std::min(e.birth, match.birth);
-        // Attribution follows the earliest contributor (the side latency is
-        // measured against); the buffered partner's residency in the join
-        // window is charged by the simulator when it sees the stale cursor.
-        joined.attr_id = e.birth <= match.birth ? e.attr_id : match.attr_id;
-        const StreamElement& left = input_port == 0 ? e : match;
-        const StreamElement& right = input_port == 0 ? match : e;
-        joined.tuple.values.reserve(left.tuple.values.size() +
-                                    right.tuple.values.size());
-        for (const Value& v : left.tuple.values)
-          joined.tuple.values.push_back(v);
-        for (const Value& v : right.tuple.values)
-          joined.tuple.values.push_back(v);
-        out->push_back(std::move(joined));
-      }
-      if (buf.empty()) other.buffers.erase(other_it);
+    KeyedRowStore& mine = sides_[input_port];
+    KeyedRowStore& other = sides_[1 - input_port];
+    if (in.NumColumns() != mine.rows().NumColumns()) {
+      return Status::InvalidArgument(StrFormat(
+          "join input %d has %zu fields but its schema has %zu", input_port,
+          in.NumColumns(), mine.rows().NumColumns()));
     }
-
-    // Insert into own buffer and evict.
-    auto& own = mine.buffers[key];
-    own.push_back(e);
-    ++mine.total;
-    if (op_.window.policy == WindowPolicy::kTime) {
-      size_t expired = 0;
-      while (expired < own.size() &&
-             own[expired].tuple.event_time < t - duration_) {
-        ++expired;
+    const bool time_policy = op_.window.policy == WindowPolicy::kTime;
+    KeyColumn(in, row_begin, row_end, key_field, &keys_, &hashes_);
+    probe_.clear();
+    match_.clear();
+    for (size_t row = row_begin; row < row_end; ++row) {
+      const size_t i = row - row_begin;
+      const double t = in.event_time(row);
+      bool new_key = false;
+      const uint32_t key = index_.Insert(keys_[i], hashes_[i], &new_key);
+      if (new_key) {
+        sides_[0].ReserveKeys(index_.size());
+        sides_[1].ReserveKeys(index_.size());
       }
-      if (expired > 0) {
-        own.erase(own.begin(), own.begin() + static_cast<int64_t>(expired));
-        mine.total -= expired;
+      // Evict expired partners from the probed list, then match the rest.
+      if (!other.empty(key)) {
+        if (time_policy) other.EvictBefore(key, t - duration_);
+        for (uint32_t r = other.head(key); r != KeyedRowStore::kNil;
+             r = other.next(r)) {
+          probe_.push_back(static_cast<uint32_t>(row));
+          match_.push_back(r);
+        }
       }
-    } else {
-      const auto cap = static_cast<size_t>(
-          std::max<int64_t>(1, op_.window.length_tuples));
-      while (own.size() > cap) {
-        --mine.total;
-        own.erase(own.begin());
+      mine.Append(key, in, row);
+      if (time_policy) {
+        mine.EvictBefore(key, t - duration_);
+      } else {
+        mine.EvictToCount(key, cap_);
       }
     }
+    if (!probe_.empty()) {
+      PDSP_RETURN_NOT_OK(WriteMatches(in, input_port, other.rows(), out));
+    }
+    // Matches are written, so buffered row ids may change now. (The key
+    // index needs no compaction: with a positive window, which analysis
+    // requires, a key keeps at least one buffered row on some side once
+    // seen, as the arriving row outlives the evictions it triggers.)
+    sides_[0].MaybeCompact();
+    sides_[1].MaybeCompact();
     return Status::OK();
   }
 
   size_t StateSize() const override {
-    return sides_[0].total + sides_[1].total;
+    return sides_[0].live_rows() + sides_[1].live_rows();
   }
 
  private:
-  struct Side {
-    // Per-key buckets hold only a handful of in-window elements each, so a
-    // small vector beats a deque (whose minimum allocation is ~512B — with
-    // ID-like join keys that caused hundreds of MB of allocator churn).
-    std::map<Value, std::vector<StreamElement>> buffers;
-    size_t total = 0;
-  };
+  Status WriteMatches(const data::Batch& in, int input_port,
+                      const data::Batch& buffered, data::Batch* out) {
+    const data::Batch& left = input_port == 0 ? in : buffered;
+    const data::Batch& right = input_port == 0 ? buffered : in;
+    const data::SelectionVector& left_rows = input_port == 0 ? probe_ : match_;
+    const data::SelectionVector& right_rows =
+        input_port == 0 ? match_ : probe_;
+    const size_t width = left.NumColumns() + right.NumColumns();
+    if (width != out->NumColumns()) {
+      return Status::Internal(StrFormat(
+          "operator emitted arity %zu but its output schema has %zu fields",
+          width, out->NumColumns()));
+    }
+    for (size_t col = 0; col < left.NumColumns(); ++col) {
+      out->AppendColumnGather(col, left, col, left_rows);
+    }
+    for (size_t col = 0; col < right.NumColumns(); ++col) {
+      out->AppendColumnGather(left.NumColumns() + col, right, col,
+                              right_rows);
+    }
+    const size_t n = probe_.size();
+    times_.resize(n);
+    births_.resize(n);
+    attrs_.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      const double e_birth = in.birth(probe_[k]);
+      const double m_birth = buffered.birth(match_[k]);
+      times_[k] = std::max(in.event_time(probe_[k]),
+                           buffered.event_time(match_[k]));
+      births_[k] = std::min(e_birth, m_birth);
+      // Attribution follows the earliest contributor (the side latency is
+      // measured against); the buffered partner's residency in the join
+      // window is charged by the simulator when it sees the stale cursor.
+      attrs_[k] = e_birth <= m_birth ? in.attr_id(probe_[k])
+                                     : buffered.attr_id(match_[k]);
+    }
+    out->FinishRows(times_.data(), births_.data(), attrs_.data(), n);
+    return Status::OK();
+  }
 
   OperatorDescriptor op_;
   double duration_;
-  Side sides_[2];
+  size_t cap_;  // count policy: rows per key and side
+  KeyIndex index_;
+  KeyedRowStore sides_[2];
+  // Scratch, reused across calls.
+  std::vector<KeyRef> keys_;
+  std::vector<uint64_t> hashes_;
+  data::SelectionVector probe_;  // arriving row of each match
+  data::SelectionVector match_;  // buffered partner of each match
+  std::vector<double> times_;
+  std::vector<double> births_;
+  std::vector<uint32_t> attrs_;
 };
 
 class UdoExec : public OperatorInstance {
@@ -573,12 +671,8 @@ Result<std::unique_ptr<OperatorInstance>> CreateOperatorInstance(
     case OperatorType::kFlatMap:
       return {std::make_unique<FlatMapExec>(op, seed)};
     case OperatorType::kWindowAggregate:
-      if (op.window.policy == WindowPolicy::kTime) {
-        return {std::make_unique<TimeWindowAggExec>(op)};
-      }
-      return {std::make_unique<CountWindowAggExec>(op)};
     case OperatorType::kWindowJoin:
-      return {std::make_unique<WindowJoinExec>(op)};
+      break;
     case OperatorType::kUdo: {
       PDSP_ASSIGN_OR_RETURN(auto udo, UdoRegistry::Global().Create(op));
       return {std::make_unique<UdoExec>(std::move(udo), instance, seed)};
@@ -586,7 +680,27 @@ Result<std::unique_ptr<OperatorInstance>> CreateOperatorInstance(
     case OperatorType::kSink:
       return {std::make_unique<SinkExec>()};
   }
-  return Status::Internal("unknown operator type");
+  // Keyed-state operators keep rows in their inputs' layouts, derived from
+  // the schemas validation computes (which also fixes the input counts).
+  if (!plan.validated()) {
+    return Status::FailedPrecondition(StrFormat(
+        "%s: window and join state needs a validated plan", op.name.c_str()));
+  }
+  std::vector<data::BatchLayout> in_layouts;
+  for (LogicalPlan::OpId in : plan.Inputs(op_id)) {
+    in_layouts.push_back(LayoutForSchema(plan.OutputSchema(in)));
+  }
+  data::BatchLayout out_layout = LayoutForSchema(plan.OutputSchema(op_id));
+  if (op.type == OperatorType::kWindowJoin) {
+    return {std::make_unique<WindowJoinExec>(op, in_layouts,
+                                             std::move(out_layout))};
+  }
+  if (op.window.policy == WindowPolicy::kTime) {
+    return {std::make_unique<TimeWindowAggExec>(op, in_layouts,
+                                                std::move(out_layout))};
+  }
+  return {std::make_unique<CountWindowAggExec>(op, in_layouts,
+                                               std::move(out_layout))};
 }
 
 }  // namespace pdsp

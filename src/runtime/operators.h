@@ -31,11 +31,13 @@ class OperatorInstance {
   /// Processes rows [row_begin, row_end) of a columnar batch, appending
   /// output rows to *out (whose layout is this operator's output layout).
   /// The base implementation materializes each row into a StreamElement and
-  /// delegates to Process — the row-view adapter stateful operators and
-  /// UDOs rely on. Vectorizable operators (filter, map, flatMap, window
-  /// aggregation, sink) override it with columnar kernels
-  /// (src/runtime/kernels.h) that are bit-identical to the scalar path:
-  /// same outputs, same order, same RNG draw sequence.
+  /// delegates to Process — the row-view adapter UDOs rely on. Every other
+  /// operator overrides it: filter, map, flatMap and sink with columnar
+  /// kernels (src/runtime/kernels.h) that are bit-identical to their scalar
+  /// Process (same outputs, same order, same RNG draw sequence); window
+  /// aggregates and joins with hash-indexed columnar state
+  /// (src/runtime/keyed_state.h), their Process being a one-row adapter
+  /// over this call.
   virtual Status ProcessBatch(const data::Batch& in, size_t row_begin,
                               size_t row_end, int input_port, double now,
                               data::Batch* out);
@@ -57,8 +59,9 @@ class OperatorInstance {
     (void)out;
   }
 
-  /// Elements currently buffered in operator state (windows/joins); used by
-  /// the simulator to account for state-size effects and by tests.
+  /// Live state: rows buffered by joins and count windows, (pane, key)
+  /// entries held by time windows. Read by tests and the benchmark's
+  /// per-operator probe (runtime.stateful.peak_state_rows).
   virtual size_t StateSize() const { return 0; }
 
   /// Elements dropped because they arrived after their window had already

@@ -218,9 +218,11 @@ class Engine {
   std::vector<data::BatchLayout> class_layouts_;
   std::vector<std::vector<SlotId>> free_slots_;
   // Per-firing scratch, reused across firings: each operator's output batch
-  // (indexed by op id), the per-destination row selections and sub-batch
-  // slots of one channel group, and the firing's planned deliveries.
+  // (indexed by op id), the elements a timer firing emits, the
+  // per-destination row selections and sub-batch slots of one channel
+  // group, and the firing's planned deliveries.
   std::vector<data::Batch> op_outputs_;
+  std::vector<StreamElement> fired_;
   std::vector<data::SelectionVector> parts_;
   std::vector<SlotId> route_slots_;
   std::vector<PlannedDelivery> deliveries_;
@@ -768,9 +770,9 @@ Status Engine::ProcessOne(int task, double now) {
     timer_fire = true;
     obs::prof::ProfScope kernel_scope(obs::prof::FrameKind::kKernel,
                                       kernel_fire_id_);
-    std::vector<StreamElement> fired;
-    state.instance->OnTimer(state.input_wm, &fired);
-    for (const StreamElement& e : fired) {
+    fired_.clear();
+    state.instance->OnTimer(state.input_wm, &fired_);
+    for (const StreamElement& e : fired_) {
       outputs.AppendTuple(e.tuple, e.birth, e.attr_id);
     }
     cost = costs_.BatchCost(op);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -105,6 +106,53 @@ TEST(BatchTest, AppendGatherSelectsRepeatsAndHandlesEdgeCases) {
   EXPECT_EQ(twice.RowTuple(0).values[0], Value(1));
   EXPECT_EQ(twice.RowTuple(1).values[0], Value(1));
   EXPECT_EQ(twice.RowTuple(2).values[0], Value(3));
+}
+
+// Column-wise copies across differing layouts follow AppendValue's rule: a
+// matching cell stays typed, a mismatched one promotes the destination
+// column, and the rows read back exactly as AppendTuple would have stored
+// them.
+TEST(BatchTest, ColumnWiseCopiesMatchAppendTuple) {
+  data::Batch src(KeyValueLayout());
+  src.AppendTuple(MakeTuple({Value(7), Value(1.5)}, 0.25), 0.125, 3);
+  src.AppendTuple(MakeTuple({Value(-2), Value("x")}, 0.5), 0.375, 4);
+  ASSERT_TRUE(src.column_promoted(1));
+  const data::BatchLayout swapped({DataType::kDouble, DataType::kInt});
+
+  data::Batch by_tuple(swapped);
+  data::Batch by_column(swapped);
+  data::Batch by_row(swapped);
+  const data::SelectionVector sel = {1, 0, 1};
+  for (uint32_t r : sel) {
+    Tuple t = src.RowTuple(r);
+    std::swap(t.values[0], t.values[1]);
+    by_tuple.AppendTuple(t, src.birth(r), src.attr_id(r));
+    by_row.AppendCell(0, src, 1, r);
+    by_row.AppendCell(1, src, 0, r);
+    by_row.FinishRow(src.event_time(r), src.birth(r), src.attr_id(r));
+  }
+  by_column.AppendColumnGather(0, src, 1, sel);
+  by_column.AppendColumnGather(1, src, 0, sel);
+  const std::vector<double> times = {0.5, 0.25, 0.5};
+  const std::vector<double> births = {0.375, 0.125, 0.375};
+  const std::vector<uint32_t> attrs = {4, 3, 4};
+  by_column.FinishRows(times.data(), births.data(), attrs.data(), 3);
+
+  for (const data::Batch* b : {&by_column, &by_row}) {
+    ASSERT_EQ(b->NumRows(), 3u);
+    EXPECT_EQ(b->promotions(), by_tuple.promotions());
+    for (size_t r = 0; r < 3; ++r) {
+      const Tuple want = by_tuple.RowTuple(r);
+      const Tuple got = b->RowTuple(r);
+      for (size_t c = 0; c < 2; ++c) {
+        EXPECT_EQ(got.values[c].type(), want.values[c].type());
+        EXPECT_EQ(got.values[c], want.values[c]);
+      }
+      EXPECT_EQ(got.event_time, want.event_time);
+      EXPECT_EQ(b->birth(r), by_tuple.birth(r));
+      EXPECT_EQ(b->attr_id(r), by_tuple.attr_id(r));
+    }
+  }
 }
 
 TEST(BatchTest, WireSizeMatchesTupleWireSize) {

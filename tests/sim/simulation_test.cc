@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/apps/apps.h"
 #include "src/harness/synthetic_suite.h"
 #include "src/query/cardinality.h"
 #include "tests/testing/test_plans.h"
@@ -263,6 +264,54 @@ TEST(SimulationGoldenTest, CanonicalLinearP64ReproducesRecordedRun) {
   EXPECT_EQ(Bits(r->median_latency_s), 0x3fe014e0b6deebe4ULL)
       << r->median_latency_s;
   EXPECT_EQ(Bits(r->p99_latency_s), 0x3fe068c366c4ad20ULL)
+      << r->p99_latency_s;
+}
+
+// Pinned trajectories for the two workloads whose cost is keyed operator
+// state: the canonical two-way join at p=1 (join buffers inserted and probed
+// under overload) and WordCount at p=8 (a keyed time-window count over Zipf
+// words). The values were recorded before join and window state moved from
+// ordered maps to hash-indexed columnar stores; a state-semantics change
+// moves them, an optimization must not.
+TEST(SimulationGoldenTest, CanonicalJoin2P1ReproducesRecordedRun) {
+  CanonicalOptions canon;
+  canon.event_rate = 200000.0;
+  canon.parallelism = 1;
+  auto plan = MakeCanonicalSynthetic(SyntheticStructure::kTwoWayJoin, canon);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 0.5;
+  opt.sim.warmup_s = 0.1;
+  opt.sim.seed = 42;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->events_processed, 1394);
+  EXPECT_EQ(r->sink_tuples, 5393);
+  EXPECT_EQ(r->late_drops, 0);
+  EXPECT_EQ(Bits(r->median_latency_s), 0x3fd3f38278963896ULL)
+      << r->median_latency_s;
+  EXPECT_EQ(Bits(r->p99_latency_s), 0x3fe559857be14282ULL)
+      << r->p99_latency_s;
+}
+
+TEST(SimulationGoldenTest, WordCountP8ReproducesRecordedRun) {
+  AppOptions app;
+  app.event_rate = 100000.0;
+  app.parallelism = 8;
+  auto plan = MakeApp(AppId::kWordCount, app);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ExecutionOptions opt;
+  opt.sim.duration_s = 0.5;
+  opt.sim.warmup_s = 0.1;
+  opt.sim.seed = 42;
+  auto r = ExecutePlan(*plan, Cluster::M510(10), opt);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->events_processed, 116002);
+  EXPECT_EQ(r->sink_tuples, 18756);
+  EXPECT_EQ(r->late_drops, 0);
+  EXPECT_EQ(Bits(r->median_latency_s), 0x3fdff886865a23feULL)
+      << r->median_latency_s;
+  EXPECT_EQ(Bits(r->p99_latency_s), 0x3feabc60e7a5b6d5ULL)
       << r->p99_latency_s;
 }
 
