@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "src/harness/synthetic_suite.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -91,7 +92,8 @@ TEST(TableReporterTest, CsvRoundTrip) {
   table.AddRow({"1", "2"});
   table.AddRow({"3"});  // short rows padded
   EXPECT_EQ(table.NumRows(), 2u);
-  const std::string path = "/tmp/pdsp_harness_test/out.csv";
+  const std::string dir = testing::TestTempDir() + "/csv";
+  const std::string path = dir + "/out.csv";
   ASSERT_TRUE(table.WriteCsv(path).ok());
   std::ifstream in(path);
   std::string line;
@@ -101,7 +103,7 @@ TEST(TableReporterTest, CsvRoundTrip) {
   EXPECT_EQ(line, "1,2");
   std::getline(in, line);
   EXPECT_EQ(line, "3,");
-  std::filesystem::remove_all("/tmp/pdsp_harness_test");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CellFormattingTest, Units) {

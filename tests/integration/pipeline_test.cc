@@ -14,12 +14,13 @@
 #include "src/store/run_store.h"
 #include "src/workload/autoscaler.h"
 #include "src/workload/query_generator.h"
+#include "tests/testing/temp_dir.h"
 
 namespace pdsp {
 namespace {
 
 TEST(PipelineTest, GenerateExecutePersistReloadReexecute) {
-  const std::string dir = "/tmp/pdsp_pipeline_test";
+  const std::string dir = testing::TestTempDir() + "/store";
   std::filesystem::remove_all(dir);
   RunStore store(dir);
 

@@ -7,6 +7,7 @@
 #include "src/apps/apps.h"
 #include "src/store/plan_serde.h"
 #include "src/workload/query_generator.h"
+#include "tests/testing/temp_dir.h"
 #include "tests/testing/test_plans.h"
 
 namespace pdsp {
@@ -15,7 +16,7 @@ namespace {
 class RunStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/pdsp_run_store_test";
+    dir_ = testing::TestTempDir() + "/store";
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

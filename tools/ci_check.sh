@@ -45,7 +45,8 @@ step "file-touching suites, repeated (ctest -j --repeat until-fail:5)"
 FILE_TESTS='^(FileUtilTest|RunLedgerTest|SweepTest|SnapshotSamplerTest'
 FILE_TESTS+='|LoadRecordsForReportTest|GenerateReportTest|WriteReportFileTest'
 FILE_TESTS+='|MeasureCellProfileTest|MeasureCellMemTest|TraceRoundtripTest'
-FILE_TESTS+='|SimObsTest)\.|^DiagnoseTest\.ArtifactBundle'
+FILE_TESTS+='|SimObsTest|RunStoreTest|PipelineTest|TableReporterTest|CliTest)\.'
+FILE_TESTS+='|^DiagnoseTest\.ArtifactBundle'
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
       --repeat until-fail:5 -R "$FILE_TESTS"
 
@@ -159,11 +160,11 @@ else
 fi
 
 step "runtime diagnosis smoke (pdspbench diagnose all --json)"
-# Simulate + diagnose all 14 apps at well-provisioned defaults. The CLI exits
-# non-zero if any error-severity PDSP-R finding fires; the parse additionally
-# checks the JSON is well-formed, every app simulated, and zero runtime
-# errors were reported (warnings/infos like skew or over-provisioning are
-# expected and allowed).
+# Simulate + diagnose all 23 plans (14 apps, 9 synthetic structures) at
+# well-provisioned defaults. The CLI exits non-zero if any error-severity
+# PDSP-R finding fires; the parse additionally checks the JSON is
+# well-formed, every plan simulated, and zero runtime errors were reported
+# (warnings/infos like skew or over-provisioning are expected and allowed).
 DIAG_JSON="$BUILD_DIR/diagnose_all.json"
 "$BUILD_DIR/tools/pdspbench" diagnose all --json > "$DIAG_JSON"
 if command -v python3 >/dev/null 2>&1; then
@@ -172,9 +173,9 @@ import json, sys
 d = json.load(open(sys.argv[1]))
 failed = [p["plan"] for p in d["plans"] if "error" in p]
 assert not failed, f"diagnose failed for: {failed}"
-assert len(d["plans"]) >= 14, f"expected >= 14 apps, got {len(d['plans'])}"
+assert len(d["plans"]) == 23, f"expected 23 plans, got {len(d['plans'])}"
 assert d["errors"] == 0, f"unexpected PDSP-R errors on well-provisioned defaults: {d['errors']}"
-print(f"diagnosed {len(d['plans'])} apps: {d['errors']} errors, {d['warnings']} warnings")
+print(f"diagnosed {len(d['plans'])} plans: {d['errors']} errors, {d['warnings']} warnings")
 EOF
 else
   echo "python3 not found; relying on the CLI exit status only"
