@@ -256,8 +256,9 @@ void BM_BatchPartitionKernel(benchmark::State& state) {
   const auto rows = static_cast<size_t>(state.range(0));
   const data::Batch in = KeyValueBatch(rows, 4);
   std::vector<data::SelectionVector> parts;
+  std::vector<uint64_t> hashes;
   for (auto _ : state) {
-    kernels::Partition(in, 0, rows, 0, 8, &parts);
+    kernels::Partition(in, 0, rows, 0, 8, &parts, &hashes);
     benchmark::DoNotOptimize(parts.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));

@@ -154,21 +154,33 @@ double KeyMatchProbability(const FieldGeneratorSpec& left,
         1, std::max(n_l, n_r)));
     return 1.0 / std::max(1.0, fallback);
   }
-  const double h_l =
-      (left.dist == FieldDistribution::kZipfKey ||
-       left.dist == FieldDistribution::kWordString)
-          ? GeneralizedHarmonic(n_l, left.zipf_s)
-          : 1.0;
-  const double h_r =
-      (right.dist == FieldDistribution::kZipfKey ||
-       right.dist == FieldDistribution::kWordString)
-          ? GeneralizedHarmonic(n_r, right.zipf_s)
-          : 1.0;
+  const bool zipf_l = left.dist == FieldDistribution::kZipfKey ||
+                      left.dist == FieldDistribution::kWordString;
+  const bool zipf_r = right.dist == FieldDistribution::kZipfKey ||
+                      right.dist == FieldDistribution::kWordString;
+  // Skewed keys on both sides: a self-join-like pair shares its harmonic
+  // sum, and equal exponents share each rank's pow() (same operations in
+  // the same order as KeyMass, so the result is bit-identical).
+  const bool same_s = zipf_l && zipf_r && left.zipf_s == right.zipf_s;
+  const double h_l = zipf_l ? GeneralizedHarmonic(n_l, left.zipf_s) : 1.0;
+  const double h_r = !zipf_r ? 1.0
+                     : same_s && n_l == n_r
+                         ? h_l
+                         : GeneralizedHarmonic(n_r, right.zipf_s);
   const int64_t n = std::min(n_l, n_r);
   const int64_t exact = std::min<int64_t>(n, 100000);
   double prob = 0.0;
-  for (int64_t k = 1; k <= exact; ++k) {
-    prob += KeyMass(left, k, h_l) * KeyMass(right, k, h_r);
+  if (same_s) {
+    // k <= n never exceeds either cardinality, so KeyMass's bound check
+    // cannot fire.
+    for (int64_t k = 1; k <= exact; ++k) {
+      const double w = std::pow(static_cast<double>(k), -left.zipf_s);
+      prob += (w / h_l) * (w / h_r);
+    }
+  } else {
+    for (int64_t k = 1; k <= exact; ++k) {
+      prob += KeyMass(left, k, h_l) * KeyMass(right, k, h_r);
+    }
   }
   // Tail beyond 100k ranks contributes at most (n - exact) * mass(exact)^2,
   // which is negligible for skewed keys and tiny for uniform; approximate it

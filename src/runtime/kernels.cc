@@ -239,11 +239,18 @@ Status Aggregate(const data::Batch& in, size_t begin, size_t end,
   return Status::OK();
 }
 
+void ResetPartitions(int num_partitions,
+                     std::vector<data::SelectionVector>* parts) {
+  const auto p = static_cast<size_t>(std::max(1, num_partitions));
+  if (parts->size() < p) parts->resize(p);
+  for (data::SelectionVector& part : *parts) part.clear();
+}
+
 void Partition(const data::Batch& in, size_t begin, size_t end,
                size_t key_field, int num_partitions,
-               std::vector<data::SelectionVector>* parts) {
-  parts->clear();
-  parts->resize(static_cast<size_t>(std::max(1, num_partitions)));
+               std::vector<data::SelectionVector>* parts,
+               std::vector<uint64_t>* hashes) {
+  ResetPartitions(num_partitions, parts);
   if (key_field >= in.NumColumns()) {
     // Keyless fallback: the scalar router hashes nothing and sends to 0.
     data::SelectionVector& p0 = (*parts)[0];
@@ -257,10 +264,10 @@ void Partition(const data::Batch& in, size_t begin, size_t end,
   // Hash the whole column first (tight typed loop), then scatter row
   // indices — the selection vectors are the "radix buckets"; payload moves
   // once, at gather time.
-  std::vector<uint64_t> hashes(end - begin);
-  HashColumn(in, begin, end, key_field, hashes.data());
+  hashes->resize(end - begin);
+  HashColumn(in, begin, end, key_field, hashes->data());
   for (size_t i = begin; i < end; ++i) {
-    (*parts)[hashes[i - begin] % p].push_back(static_cast<uint32_t>(i));
+    (*parts)[(*hashes)[i - begin] % p].push_back(static_cast<uint32_t>(i));
   }
 }
 

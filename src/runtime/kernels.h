@@ -63,15 +63,24 @@ struct AggPartial {
 Status Aggregate(const data::Batch& in, size_t begin, size_t end,
                  size_t field, AggPartial* out);
 
+/// Makes parts[0 .. num_partitions) empty. Selection vectors are cleared in
+/// place, keeping their capacity, and `parts` grows but never shrinks
+/// (entries past num_partitions are empty too), so scratch reused across
+/// calls stops allocating once it has seen the widest fan-out.
+void ResetPartitions(int num_partitions,
+                     std::vector<data::SelectionVector>* parts);
+
 /// Hash-partitions rows [begin, end) by `key_field` into
 /// parts[0 .. num_partitions): parts[d] lists the rows whose key hash maps
 /// to destination d (row order preserved within each destination — the
 /// gather-once half of a radix partition). A `key_field` beyond the batch
 /// arity sends every row to destination 0 (the scalar router's fallback for
-/// keyless tuples). `parts` is resized and cleared by the call.
+/// keyless tuples). `parts` is reset as by ResetPartitions; `hashes` is
+/// caller-owned scratch for the key hashes, overwritten by the call.
 void Partition(const data::Batch& in, size_t begin, size_t end,
                size_t key_field, int num_partitions,
-               std::vector<data::SelectionVector>* parts);
+               std::vector<data::SelectionVector>* parts,
+               std::vector<uint64_t>* hashes);
 
 }  // namespace kernels
 }  // namespace pdsp

@@ -1,8 +1,44 @@
 #include "src/sim/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+
+#include "src/common/string_util.h"
 
 namespace pdsp {
+
+Status CostModel::Validate() const {
+  const std::pair<const char*, double> fields[] = {
+      {"source_cost", source_cost},
+      {"filter_cost", filter_cost},
+      {"map_cost", map_cost},
+      {"flatmap_cost", flatmap_cost},
+      {"agg_update_cost", agg_update_cost},
+      {"join_insert_cost", join_insert_cost},
+      {"join_probe_cost", join_probe_cost},
+      {"udo_base_cost", udo_base_cost},
+      {"udo_state_cost", udo_state_cost},
+      {"sink_cost", sink_cost},
+      {"emit_cost", emit_cost},
+      {"join_match_cost", join_match_cost},
+      {"agg_fire_cost", agg_fire_cost},
+      {"batch_overhead", batch_overhead},
+      {"wm_batch_cost", wm_batch_cost},
+      {"subbatch_send_overhead", subbatch_send_overhead},
+      {"keyed_coordination_cost", keyed_coordination_cost},
+      {"serialization_cost_per_byte", serialization_cost_per_byte},
+      {"local_handoff_latency", local_handoff_latency},
+  };
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value) || value < 0.0) {
+      return Status::InvalidArgument(
+          StrFormat("cost model: %s = %g must be finite and >= 0", name,
+                    value));
+    }
+  }
+  return Status::OK();
+}
 
 double CostModel::InputTupleCost(const OperatorDescriptor& op) const {
   switch (op.type) {

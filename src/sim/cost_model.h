@@ -12,6 +12,7 @@
 #ifndef PDSP_SIM_COST_MODEL_H_
 #define PDSP_SIM_COST_MODEL_H_
 
+#include "src/common/status.h"
 #include "src/query/plan.h"
 
 namespace pdsp {
@@ -57,6 +58,11 @@ struct CostModel {
   // Network-side costs (the cluster supplies latency and bandwidth).
   double serialization_cost_per_byte = 2.0e-9;  ///< cross-node sends only
   double local_handoff_latency = 4e-6;          ///< same-node delivery delay
+
+  /// InvalidArgument naming the first negative or non-finite field. Only
+  /// such a value can make a service time or a delivery delay negative,
+  /// which would schedule an event before the simulator's current time.
+  Status Validate() const;
 
   /// Service cost charged per input tuple for the given operator.
   double InputTupleCost(const OperatorDescriptor& op) const;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <queue>
 #include <type_traits>
 
 #include "src/common/rng.h"
@@ -18,6 +17,8 @@
 #include "src/query/batch_layout.h"
 #include "src/runtime/kernels.h"
 #include "src/runtime/operators.h"
+#include "src/sim/event_queue.h"
+#include "src/sim/input_watermark.h"
 
 namespace pdsp {
 
@@ -58,21 +59,15 @@ struct SubBatch {
   int layout_class = 0;
 };
 
+/// Events of equal time run in the order they were scheduled (the queue is
+/// FIFO among equal times), which keeps runs deterministic.
 struct Event {
   double time = 0.0;
-  int64_t seq = 0;
-  EventKind kind = EventKind::kReady;
   int task = 0;
   SlotId slot = kNoSlot;  // kDelivery only
+  EventKind kind = EventKind::kReady;
 };
 static_assert(std::is_trivially_copyable_v<Event>);
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;  // FIFO tie-break for determinism
-  }
-};
 
 // Simulator internals for one run.
 class Engine {
@@ -94,12 +89,11 @@ class Engine {
     std::deque<SlotId> queue;
     size_t queued_tuples = 0;
     double busy_until = 0.0;
-    // Event-time watermarks: per-upstream-task watermark (flat channel
-    // lists sorted by sender task id), the min over them (this task's input
-    // watermark, which gates window firing), and when we last broadcast our
-    // own watermark downstream.
-    std::vector<int> wm_from;
-    std::vector<double> wm_value;
+    // Event-time watermarks: per-upstream-task channel watermarks, this
+    // task's input watermark (their min for operators, the emitted
+    // interval's end for sources; it gates window firing), and when we
+    // last broadcast our own watermark downstream.
+    InputWatermark channel_wm;
     double input_wm = -kInf;
     double last_wm_broadcast = -kInf;
     // Per-outgoing-channel-group round-robin cursors (rebalance).
@@ -123,6 +117,8 @@ class Engine {
   };
 
   Status SetUpTasks();
+  /// Schedules an event; an event before the last dequeued one is an
+  /// engine fault and becomes the run's error.
   void Push(double time, EventKind kind, int task, SlotId slot = kNoSlot);
   double TaskSpeed(int task) const;
 
@@ -205,8 +201,7 @@ class Engine {
   const CostModel& costs_;
   const SimOptions& options_;
 
-  std::priority_queue<Event, std::vector<Event>, EventLater> heap_;
-  int64_t seq_ = 0;
+  MonotoneRadixQueue<Event> events_;
   std::vector<TaskState> tasks_;
   std::vector<std::vector<ChannelGroup>> out_channels_;  // per op
   // Sub-batch slab. A deque keeps references stable as it grows; events,
@@ -219,11 +214,12 @@ class Engine {
   std::vector<std::vector<SlotId>> free_slots_;
   // Per-firing scratch, reused across firings: each operator's output batch
   // (indexed by op id), the elements a timer firing emits, the
-  // per-destination row selections and sub-batch slots of one channel
-  // group, and the firing's planned deliveries.
+  // per-destination row selections, key hashes and sub-batch slots of one
+  // channel group, and the firing's planned deliveries.
   std::vector<data::Batch> op_outputs_;
   std::vector<StreamElement> fired_;
   std::vector<data::SelectionVector> parts_;
+  std::vector<uint64_t> hashes_;
   std::vector<SlotId> route_slots_;
   std::vector<PlannedDelivery> deliveries_;
   int64_t pending_tuples_ = 0;
@@ -335,25 +331,23 @@ Status Engine::SetUpTasks() {
   }
   // Watermark channels: every task knows all upstream tasks so the input
   // watermark is the min over the full channel set from the start.
+  std::vector<std::vector<int>> senders(tasks_.size());
   for (const ChannelGroup& g : plan_.channels()) {
     const int p_from = plan_.ParallelismOf(g.from_op);
     const int p_to = plan_.ParallelismOf(g.to_op);
     for (int d = 0; d < p_to; ++d) {
-      TaskState& dest = tasks_[plan_.TaskId(g.to_op, d)];
+      std::vector<int>& from = senders[plan_.TaskId(g.to_op, d)];
       if (g.mode == Partitioning::kForward) {
-        dest.wm_from.push_back(plan_.TaskId(g.from_op, d));
+        from.push_back(plan_.TaskId(g.from_op, d));
       } else {
         for (int u = 0; u < p_from; ++u) {
-          dest.wm_from.push_back(plan_.TaskId(g.from_op, u));
+          from.push_back(plan_.TaskId(g.from_op, u));
         }
       }
     }
   }
-  for (TaskState& state : tasks_) {
-    std::sort(state.wm_from.begin(), state.wm_from.end());
-    state.wm_from.erase(std::unique(state.wm_from.begin(), state.wm_from.end()),
-                        state.wm_from.end());
-    state.wm_value.assign(state.wm_from.size(), -kInf);
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    tasks_[t].channel_wm = InputWatermark(std::move(senders[t]));
   }
   return Status::OK();
 }
@@ -361,11 +355,11 @@ Status Engine::SetUpTasks() {
 void Engine::Push(double time, EventKind kind, int task, SlotId slot) {
   Event e;
   e.time = time;
-  e.seq = seq_++;
-  e.kind = kind;
   e.task = task;
   e.slot = slot;
-  heap_.push(e);
+  e.kind = kind;
+  Status pushed = events_.Push(e);
+  if (!pushed.ok() && run_error_.ok()) run_error_ = std::move(pushed);
 }
 
 SlotId Engine::AcquireSlot(LogicalPlan::OpId op) {
@@ -412,17 +406,8 @@ double Engine::TaskSpeed(int task) const {
 
 void Engine::ApplyWatermark(TaskState* state, const SubBatch& batch) {
   if (batch.from_task < 0) return;
-  const auto it = std::lower_bound(state->wm_from.begin(),
-                                   state->wm_from.end(), batch.from_task);
-  if (it == state->wm_from.end() || *it != batch.from_task) return;
-  double& channel_wm = state->wm_value[it - state->wm_from.begin()];
-  if (batch.watermark <= channel_wm) return;
-  channel_wm = batch.watermark;
-  double min_wm = kInf;
-  for (const double wm : state->wm_value) {
-    min_wm = std::min(min_wm, wm);
-  }
-  state->input_wm = min_wm;
+  state->channel_wm.Advance(batch.from_task, batch.watermark);
+  state->input_wm = state->channel_wm.value();
 }
 
 void Engine::SampleTimeSeries(double t) {
@@ -509,8 +494,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
         case Partitioning::kRebalance: {
           // Row i goes to (cursor + i) % p — the scalar router's
           // per-element round robin, batched.
-          parts_.clear();
-          parts_.resize(static_cast<size_t>(p_dest));
+          kernels::ResetPartitions(p_dest, &parts_);
           const size_t cursor = state.rr_cursor[gi];
           for (size_t i = 0; i < n; ++i) {
             parts_[(cursor + i) % static_cast<size_t>(p_dest)].push_back(
@@ -535,7 +519,7 @@ void Engine::RouteOutputs(int task, const data::Batch& outputs,
               key_field != OperatorDescriptor::kNoKey && key_field < arity
                   ? key_field
                   : 0;
-          kernels::Partition(outputs, 0, n, f, p_dest, &parts_);
+          kernels::Partition(outputs, 0, n, f, p_dest, &parts_, &hashes_);
           for (int d = 0; d < p_dest; ++d) {
             if (parts_[d].empty()) continue;
             sub_batch(d).rows.AppendGather(outputs, parts_[d]);
@@ -934,14 +918,13 @@ Result<SimResult> Engine::Run() {
 
   {
     obs::Span span(options_.tracer, "simulate", "sim");
-    while (!heap_.empty()) {
+    while (!events_.empty()) {
       if (++events_processed_ > options_.max_events) {
         return Status::ResourceExhausted(
             StrFormat("simulation exceeded %lld events",
                       static_cast<long long>(options_.max_events)));
       }
-      const Event e = heap_.top();
-      heap_.pop();
+      const Event e = events_.Pop();
       while (next_sample <= e.time && next_sample <= options_.duration_s) {
         SampleTimeSeries(next_sample);
         next_sample += interval;
@@ -968,7 +951,7 @@ Result<SimResult> Engine::Run() {
       }
       if (!run_error_.ok()) return run_error_;
     }
-    // If the heap drained before duration_s (tiny runs), emit the remaining
+    // If the queue drained before duration_s (tiny runs), emit the remaining
     // sample points from the final state so row counts stay predictable.
     while (next_sample <= options_.duration_s) {
       SampleTimeSeries(next_sample);
@@ -1080,6 +1063,7 @@ Result<SimResult> Simulation::Run(const PhysicalPlan& plan,
   if (options.batch_rows < 1) {
     return Status::InvalidArgument("batch_rows must be >= 1");
   }
+  PDSP_RETURN_NOT_OK(costs.Validate());
   Engine engine(plan, cluster, placement, costs, options);
   return engine.Run();
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "tests/testing/test_plans.h"
 
@@ -187,6 +190,116 @@ TEST(GeneralizedHarmonicTest, MatchesDirectSum) {
 TEST(GeneralizedHarmonicTest, LargeNUsesIntegralTail) {
   // H_{10^7, 1.0} ~ ln(10^7) + gamma ~ 16.695.
   EXPECT_NEAR(GeneralizedHarmonic(10000000, 1.0), 16.695, 0.01);
+}
+
+// KeyMatchProbability as first written: per-side harmonic sums and two
+// pow() calls per rank. The shared-work version must reproduce it exactly.
+double ReferenceKeyMass(const FieldGeneratorSpec& spec, int64_t k,
+                        double harmonic) {
+  switch (spec.dist) {
+    case FieldDistribution::kZipfKey:
+    case FieldDistribution::kWordString:
+      if (k > spec.cardinality) return 0.0;
+      return std::pow(static_cast<double>(k), -spec.zipf_s) / harmonic;
+    case FieldDistribution::kUniformKey:
+      return k <= spec.cardinality
+                 ? 1.0 / static_cast<double>(spec.cardinality)
+                 : 0.0;
+    case FieldDistribution::kUniformInt: {
+      const double n = spec.max - spec.min + 1.0;
+      return k <= static_cast<int64_t>(n) ? 1.0 / n : 0.0;
+    }
+    default:
+      return -1.0;
+  }
+}
+
+int64_t ReferenceKeyCardinality(const FieldGeneratorSpec& spec) {
+  switch (spec.dist) {
+    case FieldDistribution::kZipfKey:
+    case FieldDistribution::kWordString:
+    case FieldDistribution::kUniformKey:
+      return spec.cardinality;
+    case FieldDistribution::kUniformInt:
+      return static_cast<int64_t>(spec.max - spec.min + 1.0);
+    default:
+      return -1;
+  }
+}
+
+double ReferenceKeyMatchProbability(const FieldGeneratorSpec& left,
+                                    const FieldGeneratorSpec& right) {
+  const int64_t n_l = ReferenceKeyCardinality(left);
+  const int64_t n_r = ReferenceKeyCardinality(right);
+  if (n_l < 1 || n_r < 1) {
+    const auto fallback = static_cast<double>(std::max<int64_t>(
+        1, std::max(n_l, n_r)));
+    return 1.0 / std::max(1.0, fallback);
+  }
+  const double h_l =
+      (left.dist == FieldDistribution::kZipfKey ||
+       left.dist == FieldDistribution::kWordString)
+          ? GeneralizedHarmonic(n_l, left.zipf_s)
+          : 1.0;
+  const double h_r =
+      (right.dist == FieldDistribution::kZipfKey ||
+       right.dist == FieldDistribution::kWordString)
+          ? GeneralizedHarmonic(n_r, right.zipf_s)
+          : 1.0;
+  const int64_t n = std::min(n_l, n_r);
+  const int64_t exact = std::min<int64_t>(n, 100000);
+  double prob = 0.0;
+  for (int64_t k = 1; k <= exact; ++k) {
+    prob += ReferenceKeyMass(left, k, h_l) * ReferenceKeyMass(right, k, h_r);
+  }
+  if (n > exact) {
+    prob += static_cast<double>(n - exact) *
+            ReferenceKeyMass(left, exact, h_l) *
+            ReferenceKeyMass(right, exact, h_r);
+  }
+  return std::clamp(prob, 0.0, 1.0);
+}
+
+FieldGeneratorSpec KeySpec(FieldDistribution dist, int64_t cardinality,
+                           double zipf_s) {
+  FieldGeneratorSpec s;
+  s.dist = dist;
+  s.cardinality = cardinality;
+  s.zipf_s = zipf_s;
+  return s;
+}
+
+TEST(KeyMatchProbabilityTest, BitIdenticalToPerSideFormula) {
+  using D = FieldDistribution;
+  const std::vector<std::pair<FieldGeneratorSpec, FieldGeneratorSpec>> pairs =
+      {
+          // Equal specs: one harmonic sum, one pow() per rank.
+          {KeySpec(D::kZipfKey, 1000, 0.8), KeySpec(D::kZipfKey, 1000, 0.8)},
+          {KeySpec(D::kZipfKey, 800000, 1.1),
+           KeySpec(D::kZipfKey, 800000, 1.1)},  // integral tail, rank tail
+          {KeySpec(D::kWordString, 5000, 1.0),
+           KeySpec(D::kZipfKey, 5000, 1.0)},
+          // Equal exponents, different cardinalities.
+          {KeySpec(D::kZipfKey, 1000, 0.8), KeySpec(D::kZipfKey, 3000, 0.8)},
+          {KeySpec(D::kZipfKey, 250000, 0.9),
+           KeySpec(D::kZipfKey, 120000, 0.9)},
+          // Unequal exponents and mixed distributions.
+          {KeySpec(D::kZipfKey, 1000, 0.8), KeySpec(D::kZipfKey, 1000, 1.2)},
+          {KeySpec(D::kZipfKey, 2000, 0.7),
+           KeySpec(D::kUniformKey, 1500, 0.7)},
+          {KeySpec(D::kUniformKey, 200000, 0.8),
+           KeySpec(D::kUniformKey, 150000, 0.8)},
+          {UniformIntSpec(1, 500), KeySpec(D::kZipfKey, 800, 0.8)},
+          {UniformDoubleSpec(0, 1), KeySpec(D::kZipfKey, 800, 0.8)},
+      };
+  for (const auto& [left, right] : pairs) {
+    EXPECT_EQ(KeyMatchProbability(left, right),
+              ReferenceKeyMatchProbability(left, right))
+        << "cardinalities " << left.cardinality << "/" << right.cardinality
+        << " s " << left.zipf_s << "/" << right.zipf_s;
+    EXPECT_EQ(KeyMatchProbability(right, left),
+              ReferenceKeyMatchProbability(right, left));
+  }
 }
 
 TEST(ZipfCdfTest, Monotone) {

@@ -123,7 +123,8 @@ TEST(PartitionKernelTest, MatchesScalarHashRouting) {
   for (size_t field = 0; field < b.NumColumns(); ++field) {
     for (int p : {1, 2, 7}) {
       std::vector<data::SelectionVector> parts;
-      kernels::Partition(b, 0, b.NumRows(), field, p, &parts);
+      std::vector<uint64_t> hashes;
+      kernels::Partition(b, 0, b.NumRows(), field, p, &parts, &hashes);
       ASSERT_EQ(parts.size(), static_cast<size_t>(p));
       std::vector<data::SelectionVector> expected(p);
       for (size_t r = 0; r < b.NumRows(); ++r) {
@@ -139,10 +140,60 @@ TEST(PartitionKernelTest, MatchesScalarHashRouting) {
 TEST(PartitionKernelTest, KeyBeyondArityRoutesEverythingToZero) {
   const data::Batch b = MixedBatch(16, 1);
   std::vector<data::SelectionVector> parts;
-  kernels::Partition(b, 0, b.NumRows(), 99, 4, &parts);
+  std::vector<uint64_t> hashes;
+  kernels::Partition(b, 0, b.NumRows(), 99, 4, &parts, &hashes);
   ASSERT_EQ(parts.size(), 4u);
   EXPECT_EQ(parts[0].size(), b.NumRows());
   EXPECT_TRUE(parts[1].empty() && parts[2].empty() && parts[3].empty());
+}
+
+// Scratch reused across calls — as the engine reuses it across channel
+// groups of different fan-out — yields the same parts as a fresh call, for
+// growing and shrinking partition counts; entries past the current count
+// are left empty.
+TEST(PartitionKernelTest, ReusedScratchMatchesFreshCall) {
+  std::vector<data::SelectionVector> parts;
+  std::vector<uint64_t> hashes;
+  int call = 0;
+  for (int p : {7, 64, 3, 64, 1, 16, 2, 64}) {
+    const data::Batch b =
+        MixedBatch(static_cast<size_t>(40 + 37 * call), call);
+    ++call;
+    // The keyless field (routes everything to 0) goes first, so the last
+    // call per count spreads rows over every destination and leaves
+    // entries for a smaller count to clear.
+    for (size_t f = 0; f <= b.NumColumns(); ++f) {
+      const size_t field = b.NumColumns() - f;
+      const size_t begin = field % 5;
+      kernels::Partition(b, begin, b.NumRows(), field, p, &parts, &hashes);
+      std::vector<data::SelectionVector> fresh;
+      std::vector<uint64_t> fresh_hashes;
+      kernels::Partition(b, begin, b.NumRows(), field, p, &fresh,
+                         &fresh_hashes);
+      ASSERT_GE(parts.size(), static_cast<size_t>(p));
+      ASSERT_EQ(fresh.size(), static_cast<size_t>(p));
+      for (size_t d = 0; d < parts.size(); ++d) {
+        if (d < fresh.size()) {
+          EXPECT_EQ(parts[d], fresh[d]) << "p " << p << " field " << field;
+        } else {
+          EXPECT_TRUE(parts[d].empty()) << "p " << p << " entry " << d;
+        }
+      }
+    }
+  }
+  // Once sized, the scratch is cleared in place: no selection vector is
+  // rebuilt, so a repeat call keeps every buffer.
+  const data::Batch b = MixedBatch(500, 99);
+  kernels::Partition(b, 0, b.NumRows(), 0, 64, &parts, &hashes);
+  std::vector<const uint32_t*> buffers;
+  for (const data::SelectionVector& part : parts) buffers.push_back(part.data());
+  kernels::ResetPartitions(64, &parts);
+  kernels::Partition(b, 0, b.NumRows(), 0, 64, &parts, &hashes);
+  for (size_t d = 0; d < parts.size(); ++d) {
+    if (!parts[d].empty()) {
+      EXPECT_EQ(parts[d].data(), buffers[d]) << d;
+    }
+  }
 }
 
 TEST(NumericColumnTest, MatchesValueAsNumeric) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "src/apps/apps.h"
 #include "src/harness/synthetic_suite.h"
@@ -159,6 +161,30 @@ TEST(SimulationTest, BadOptionsRejected) {
   opt.sim.duration_s = 1.0;
   opt.sim.warmup_s = 2.0;
   EXPECT_FALSE(ExecutePlan(*plan, Cluster::M510(2), opt).ok());
+}
+
+TEST(SimulationTest, InvalidCostModelRejected) {
+  auto plan = FilterOnlyPlan(100.0, 1);
+  ASSERT_TRUE(plan.ok());
+  ExecutionOptions opt = FastOptions();
+  opt.costs.local_handoff_latency = -1e-6;
+  const auto negative = ExecutePlan(*plan, Cluster::M510(2), opt);
+  ASSERT_TRUE(negative.status().IsInvalidArgument());
+  EXPECT_NE(negative.status().message().find("local_handoff_latency"),
+            std::string::npos);
+  opt.costs = CostModel{};
+  opt.costs.filter_cost = std::nan("");
+  EXPECT_TRUE(ExecutePlan(*plan, Cluster::M510(2), opt)
+                  .status()
+                  .IsInvalidArgument());
+  opt.costs = CostModel{};
+  opt.costs.batch_overhead = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(ExecutePlan(*plan, Cluster::M510(2), opt)
+                  .status()
+                  .IsInvalidArgument());
+  opt.costs = CostModel{};
+  opt.costs.local_handoff_latency = 0.0;  // zero is a valid cost
+  EXPECT_TRUE(ExecutePlan(*plan, Cluster::M510(2), opt).ok());
 }
 
 TEST(SimulationTest, PlacementSizeMismatchRejected) {

@@ -163,6 +163,38 @@ TEST(CliTest, StrictNumbersNameTheFlag) {
   }
 }
 
+// Flags an invocation would otherwise parse and never read: sweep-only
+// flags on a plain run, --rate and a single degree on a --load run, and
+// baseline write's measurement flags on baseline check (which replays each
+// record's stored protocol). Each exits 2 before doing any work.
+TEST(CliTest, FlagsTheInvocationIgnoresAreRejected) {
+  const std::string run = std::string(kLinear) + " ";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {run + "--jobs=2", "--jobs"},
+      {run + "--parallelism=4 --jobs=2", "--jobs"},
+      {run + "--progress", "--progress"},
+      {run + "--progress=weird", "--progress"},
+      {run + "--progress-file=p.jsonl", "--progress-file"},
+      {"--load=x --rate=5000", "--rate"},
+      {"--load=x --parallelism=8", "--parallelism"},
+      {"--load=x --parallelism=1,2 --rate=5000", "--rate"},
+      {"baseline check SG --parallelism=64", "--parallelism"},
+      {"baseline check all --rate=5000", "--rate"},
+      {"baseline check SG --cluster=c6525", "--cluster"},
+      {"baseline check SG --nodes=2", "--nodes"},
+      {"baseline check SG --repeats=2", "--repeats"},
+      {"baseline check SG --duration=1", "--duration"},
+      {"baseline check SG --seed=1", "--seed"},
+  };
+  for (const auto& [args, flag] : cases) {
+    Outcome o = RunCli(args);
+    EXPECT_EQ(o.code, 2) << args;
+    EXPECT_EQ(o.out, "") << args;
+    EXPECT_NE(o.err.find(flag + " "), std::string::npos)
+        << args << ": " << o.err;
+  }
+}
+
 // Every flag each subcommand accepts, listed apart from the CLI's own table
 // so that a flag dropped from the table fails these tests.
 const std::vector<std::pair<std::string, std::vector<std::string>>>&

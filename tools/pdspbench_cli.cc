@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -403,6 +404,19 @@ Result<PlacementKind> MakePlacement(const std::string& name) {
 int Fail(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return 2;
+}
+
+/// Usage error (exit 2) naming the first of `flags` given on the command
+/// line, followed by `why`; 0 when none of them was given.
+int RejectGiven(const Args& args, std::initializer_list<const char*> flags,
+                const char* why) {
+  for (const char* flag : flags) {
+    if (args.Has(flag)) {
+      return UsageError(args.command(),
+                        StrFormat("--%s %s", flag, why));
+    }
+  }
+  return 0;
 }
 
 obs::CompareOptions MakeCompareOptions(const Args& args) {
@@ -797,6 +811,14 @@ Result<obs::ComparisonReport> CheckBaseline(const Args& args,
 
 /// `baseline check`: exit 1 on a regression beyond --threshold.
 int BaselineCheck(const Args& args) {
+  if (int code = RejectGiven(
+          args,
+          {"cluster", "nodes", "parallelism", "rate", "repeats", "duration",
+           "seed"},
+          "applies only to baseline write: check replays each record's "
+          "stored protocol")) {
+    return code;
+  }
   const std::string& dir = args.Str("dir");
   std::vector<std::string> labels;
   if (args.Positional(1) == "all") {
@@ -1221,6 +1243,30 @@ int RunMain(const Args& args) {
     return UsageError(args.command(),
                       "pass exactly one of --app / --structure / --load");
   }
+  const bool sweep = args.Ints("parallelism").size() > 1;
+  if (!sweep) {
+    if (int code = RejectGiven(args, {"jobs", "progress", "progress-file"},
+                               "applies only to a parallelism sweep "
+                               "(--parallelism=N,M,...)")) {
+      return code;
+    }
+  }
+  if (!args.Str("load").empty()) {
+    // A stored plan keeps its rates; only a sweep re-degrees it.
+    if (int code = RejectGiven(args, {"rate"},
+                               "does not apply to --load: the stored plan "
+                               "keeps its rates")) {
+      return code;
+    }
+    if (!sweep) {
+      if (int code = RejectGiven(args, {"parallelism"},
+                                 "does not apply to a single --load run, "
+                                 "which re-executes the stored plan as "
+                                 "recorded (a list of degrees sweeps it)")) {
+        return code;
+      }
+    }
+  }
   auto cluster = MakeCluster(args);
   if (!cluster.ok()) return Fail(cluster.status());
   auto placement = MakePlacement(args.Str("placement"));
@@ -1229,9 +1275,7 @@ int RunMain(const Args& args) {
   if (!target.ok()) return Fail(target.status());
   const RunProtocol protocol =
       MakeRunProtocol(args, target->name, *placement);
-  if (args.Ints("parallelism").size() > 1) {
-    return RunParallelismSweep(args, *target, *cluster, protocol);
-  }
+  if (sweep) return RunParallelismSweep(args, *target, *cluster, protocol);
   return RunOnce(args, *target, *cluster, protocol);
 }
 
